@@ -11,12 +11,11 @@ branch-dense Fdlibm functions and asserts the runtime guarantees:
 * the compile-time ``PENALTY_SPECIALIZED`` tier is at least 6x faster than
   ``FULL_TRACE`` *and* at least 1.5x faster than ``PENALTY_ONLY`` -- the
   specializer must beat the fast runtime it replaces, not just the recorder;
-* the machine-code ``PENALTY_NATIVE`` tier is at least 1.2x faster than the
-  batched kernel overall and at least 2x on rows-mode programs (loops,
-  helpers) at 1024-row batches -- those are the programs vectorization gains
-  nothing, so the native tier must carry them (the gate self-skips when no C
-  compiler is present; ``REPRO_FORCE_NATIVE_BENCH=1`` forces it, e.g. in CI
-  where a toolchain is guaranteed);
+* the machine-code ``PENALTY_NATIVE`` tier's batch entry at 1024-row batches
+  is at least 2.4x faster than scalar ``PENALTY_SPECIALIZED`` calls
+  (geomean over the workload; the gate self-skips when no C compiler is
+  present; ``REPRO_FORCE_NATIVE_BENCH=1`` forces it, e.g. in CI where a
+  toolchain is guaranteed);
 * the threaded ``sp_batch_mt`` entry at 4096-row batches is at least 1.5x
   faster at 4 threads than at 1 (geomean over the workload), with the sweep
   asserted bit-identical across thread counts -- this gate additionally
@@ -46,7 +45,6 @@ from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.experiments.runner import instrument_case
 from repro.fdlibm.suite import BENCHMARKS
-from repro.instrument.batch import numpy_available as batch_numpy_available
 from repro.instrument.native.cache import cc_available
 from repro.instrument.runtime import ExecutionProfile, Runtime
 
@@ -64,17 +62,14 @@ WORKLOAD_FUNCTIONS = (
 TARGET_SPEEDUP = 3.0
 SPECIALIZED_TARGET_SPEEDUP = 6.0
 SPECIALIZED_VS_PENALTY_TARGET = 1.5
-BATCHED_VS_SPECIALIZED_TARGET = 2.0
-NATIVE_VS_BATCHED_TARGET = 1.2
-NATIVE_VS_BATCHED_ROWS_TARGET = 2.0
+NATIVE_VS_SPECIALIZED_TARGET = 2.4
 POINTS = 150
-#: Rows per batched-kernel call when timing the batched tier.  Vectorized
-#: evaluation amortizes numpy's per-op dispatch over the whole batch, so its
-#: throughput is a function of batch size; 1024 is a representative
-#: population-scale batch (a proposal population or a primed multi-start
-#: sweep), while the 150-point scalar workload would mostly measure the
-#: dispatch constant.  Values are still asserted bit-identical on the exact
-#: scalar point set.
+#: Rows per native batch call.  A batch amortizes the ctypes dispatch over
+#: its rows, so its throughput is a function of batch size; 1024 is a
+#: representative population-scale batch (a proposal population or a primed
+#: multi-start sweep), while the 150-point scalar workload would mostly
+#: measure the dispatch constant.  Values are still asserted bit-identical
+#: on the exact scalar point set.
 BATCH_POINTS = 1024
 #: Rows per call for the multi-threaded sweep: large enough that the
 #: per-thread chunks amortize pthread create/join, matching the engine's
@@ -122,40 +117,11 @@ def _throughput(program, tracker, points, profile) -> tuple[float, list[float], 
     return len(points) / best, values, representing
 
 
-def _batched_throughput(program, tracker, points) -> tuple[float, list[float], str]:
-    """One batched-kernel call over the whole point set, timed like _throughput.
-
-    Returns the rate, the per-row values (for the bit-identity assertion
-    against the scalar tiers) and the kernel's execution mode ("vector" for
-    whole-array numpy lanes, "rows" for the per-row fallback loop).
-    """
-    representing = RepresentingFunction(
-        program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
-    )
-    X = np.ascontiguousarray(points, dtype=np.float64)
-    values = representing.evaluate_batch(X)  # bit-identity capture + warm-up
-    X_large = np.ascontiguousarray(
-        np.random.default_rng(11).normal(scale=10.0, size=(BATCH_POINTS, program.arity))
-    )
-    representing.evaluate_batch(X_large)
-    best = float("inf")
-    for _ in range(REPEATS):
-        started = time.perf_counter()
-        representing.evaluate_batch(X_large)
-        best = min(best, time.perf_counter() - started)
-    # Epoch protocol holds for the batched tier too: the mask never changed,
-    # so exactly one kernel was built/looked up across all repeats.
-    assert representing.batch_respecializations == 1
-    kernel = representing._batch_kernel
-    mode = kernel.mode if kernel is not None else "scalar"
-    return BATCH_POINTS / best, [float(v) for v in values], mode
-
-
 def _native_batched_throughput(program, tracker, points) -> tuple[float, list[float]]:
-    """The native kernel over the same 1024-row batch as the batched tier.
+    """The native kernel over a 1024-row batch.
 
-    Asserts along the way that the native tier actually served (zero
-    degradations to the batched kernel) and followed the epoch protocol
+    Asserts along the way that the native tier actually served (no row fell
+    back to the scalar specialized tier) and followed the epoch protocol
     (one kernel build for the unchanged mask).
     """
     # Pre-warm the kernel through the blocking path: the respecialization
@@ -177,8 +143,8 @@ def _native_batched_throughput(program, tracker, points) -> tuple[float, list[fl
         representing.evaluate_batch(X_large)
         best = min(best, time.perf_counter() - started)
     assert representing.native_respecializations == 1
-    assert representing.batch_respecializations == 0, (
-        "native tier degraded to the batched kernel during the bench"
+    assert representing.respecializations == 0, (
+        "native tier degraded to the scalar specialized tier during the bench"
     )
     return BATCH_POINTS / best, [float(v) for v in values]
 
@@ -227,13 +193,10 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     ratios = []
     specialized_ratios = []
     specialized_vs_penalty = []
-    batched_vs_specialized = []
-    native_vs_batched = []
-    native_vs_batched_rows = []
+    native_vs_specialized = []
     mt_vs_single = []
-    batched_available = batch_numpy_available()
     force_native = os.environ.get("REPRO_FORCE_NATIVE_BENCH") == "1"
-    native_available = batched_available and (cc_available() or force_native)
+    native_available = cc_available() or force_native
     # The mt gate needs real parallelism to pass: skip it below 4 cores
     # unless forced (CI runners guarantee 4 vCPUs and set the force flag).
     mt_available = native_available and ((os.cpu_count() or 1) >= 4 or force_native)
@@ -269,45 +232,24 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         ratios.append(ratio)
         specialized_ratios.append(specialized_ratio)
         specialized_vs_penalty.append(specialized_rate / penalty_rate)
-        if batched_available:
-            batched_rate, batched_values, batched_mode = _batched_throughput(
-                program, tracker, points
-            )
-            assert batched_values == reference, f"{name}: batched diverges from full-trace"
-            per_function[name]["penalty-batched"] = batched_rate
-            per_function[name]["batched_mode"] = batched_mode
-            per_function[name]["batched_vs_specialized"] = batched_rate / specialized_rate
-            batched_vs_specialized.append(batched_rate / specialized_rate)
-            if native_available:
-                native_rate, native_values = _native_batched_throughput(
-                    program, tracker, points
-                )
-                assert native_values == reference, (
-                    f"{name}: native diverges from full-trace"
-                )
-                native_ratio = native_rate / batched_rate
-                per_function[name]["penalty-native-batch"] = native_rate
-                per_function[name]["native_vs_batched"] = native_ratio
-                native_vs_batched.append(native_ratio)
-                if batched_mode == "rows":
-                    native_vs_batched_rows.append(native_ratio)
-                if mt_available:
-                    mt_rates = _native_mt_throughput(program, tracker)
-                    mt_ratio = mt_rates[MT_THREAD_SWEEP[-1]] / mt_rates[1]
-                    per_function[name]["native-mt"] = {
-                        str(k): v for k, v in mt_rates.items()
-                    }
-                    per_function[name]["mt_vs_single_thread"] = mt_ratio
-                    mt_vs_single.append(mt_ratio)
+        if native_available:
+            native_rate, native_values = _native_batched_throughput(program, tracker, points)
+            assert native_values == reference, f"{name}: native diverges from full-trace"
+            native_ratio = native_rate / specialized_rate
+            per_function[name]["penalty-native-batch"] = native_rate
+            per_function[name]["native_vs_specialized"] = native_ratio
+            native_vs_specialized.append(native_ratio)
+            if mt_available:
+                mt_rates = _native_mt_throughput(program, tracker)
+                mt_ratio = mt_rates[MT_THREAD_SWEEP[-1]] / mt_rates[1]
+                per_function[name]["native-mt"] = {str(k): v for k, v in mt_rates.items()}
+                per_function[name]["mt_vs_single_thread"] = mt_ratio
+                mt_vs_single.append(mt_ratio)
 
     geomean = _geomean(ratios)
     specialized_geomean = _geomean(specialized_ratios)
     specialized_vs_penalty_geomean = _geomean(specialized_vs_penalty)
-    batched_geomean = _geomean(batched_vs_specialized) if batched_vs_specialized else None
-    native_geomean = _geomean(native_vs_batched) if native_vs_batched else None
-    native_rows_geomean = (
-        _geomean(native_vs_batched_rows) if native_vs_batched_rows else None
-    )
+    native_geomean = _geomean(native_vs_specialized) if native_vs_specialized else None
     mt_geomean = _geomean(mt_vs_single) if mt_vs_single else None
     report = {
         "workload": [name for name, _ in cases],
@@ -316,10 +258,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "penalty_vs_full_trace_geomean": geomean,
         "specialized_vs_full_trace_geomean": specialized_geomean,
         "specialized_vs_penalty_geomean": specialized_vs_penalty_geomean,
-        "batched_vs_specialized_geomean": batched_geomean,
-        "batched_available": batched_available,
-        "native_vs_batched_geomean": native_geomean,
-        "native_vs_batched_rows_geomean": native_rows_geomean,
+        "native_vs_specialized_geomean": native_geomean,
         "native_available": native_available,
         "mt_vs_single_thread_geomean": mt_geomean,
         "mt_thread_sweep": list(MT_THREAD_SWEEP),
@@ -329,9 +268,7 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "target_speedup": TARGET_SPEEDUP,
         "specialized_target_speedup": SPECIALIZED_TARGET_SPEEDUP,
         "specialized_vs_penalty_target": SPECIALIZED_VS_PENALTY_TARGET,
-        "batched_target_speedup": BATCHED_VS_SPECIALIZED_TARGET,
-        "native_target_speedup": NATIVE_VS_BATCHED_TARGET,
-        "native_rows_target_speedup": NATIVE_VS_BATCHED_ROWS_TARGET,
+        "native_target_speedup": NATIVE_VS_SPECIALIZED_TARGET,
     }
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     (bench_report_dir / "BENCH_eval_throughput.json").write_text(payload)
@@ -343,21 +280,10 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         f"specialized vs full-trace: {specialized_geomean:.2f}x "
         f"(vs penalty: {specialized_vs_penalty_geomean:.2f}x) over {len(ratios)} functions"
     )
-    if batched_geomean is not None:
-        print(
-            f"batched vs specialized: geomean {batched_geomean:.2f}x "
-            f"over {len(batched_vs_specialized)} functions"
-        )
     if native_geomean is not None:
-        rows_note = (
-            f" (rows-mode: {native_rows_geomean:.2f}x over "
-            f"{len(native_vs_batched_rows)})"
-            if native_rows_geomean is not None
-            else ""
-        )
         print(
-            f"native vs batched: geomean {native_geomean:.2f}x "
-            f"over {len(native_vs_batched)} functions{rows_note}"
+            f"native {BATCH_POINTS}-row batches vs scalar specialized: geomean "
+            f"{native_geomean:.2f}x over {len(native_vs_specialized)} functions"
         )
     if mt_geomean is not None:
         print(
@@ -367,16 +293,11 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         )
     for name, stats in per_function.items():
         batched_note = ""
-        if "penalty-batched" in stats:
-            batched_note = (
-                f"batched {stats['penalty-batched']:>11,.0f}/s "
-                f"[{stats['batched_mode']}] {stats['batched_vs_specialized']:.2f}x  "
-            )
         if "penalty-native-batch" in stats:
             batched_note = (
                 f"native {stats['penalty-native-batch']:>12,.0f}/s "
-                f"{stats['native_vs_batched']:.2f}x  "
-            ) + batched_note
+                f"{stats['native_vs_specialized']:.2f}x  "
+            )
         if "mt_vs_single_thread" in stats:
             batched_note = f"mt {stats['mt_vs_single_thread']:.2f}x  " + batched_note
         print(
@@ -397,30 +318,16 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         f"expected >= {SPECIALIZED_VS_PENALTY_TARGET}x specialized vs penalty-only, "
         f"measured {specialized_vs_penalty_geomean:.2f}x"
     )
-    if batched_geomean is None:
-        # numpy unavailable on this runner: the batched tier degraded to the
-        # scalar path by design, so there is nothing to gate.
-        print("batched gate skipped: numpy unavailable")
-    else:
-        assert batched_geomean >= BATCHED_VS_SPECIALIZED_TARGET, (
-            f"expected >= {BATCHED_VS_SPECIALIZED_TARGET}x batched vs scalar specialized, "
-            f"measured {batched_geomean:.2f}x"
-        )
     if native_geomean is None:
         # No C compiler on this runner (and the run was not forced): the
-        # native tier degraded to the batched kernel by design.  CI sets
+        # native tier degrades to the specialized tier by design.  CI sets
         # REPRO_FORCE_NATIVE_BENCH=1 so the gate cannot silently vanish
         # where a toolchain is guaranteed.
         print("native gate skipped: no C compiler (set REPRO_FORCE_NATIVE_BENCH=1 to force)")
     else:
-        assert native_geomean >= NATIVE_VS_BATCHED_TARGET, (
-            f"expected >= {NATIVE_VS_BATCHED_TARGET}x native vs batched overall, "
-            f"measured {native_geomean:.2f}x"
-        )
-        assert native_rows_geomean is not None, "workload lost its rows-mode functions"
-        assert native_rows_geomean >= NATIVE_VS_BATCHED_ROWS_TARGET, (
-            f"expected >= {NATIVE_VS_BATCHED_ROWS_TARGET}x native vs batched on "
-            f"rows-mode programs, measured {native_rows_geomean:.2f}x"
+        assert native_geomean >= NATIVE_VS_SPECIALIZED_TARGET, (
+            f"expected >= {NATIVE_VS_SPECIALIZED_TARGET}x native {BATCH_POINTS}-row "
+            f"batches vs scalar specialized, measured {native_geomean:.2f}x"
         )
     if mt_geomean is None:
         # Fewer than 4 cores (or no native tier at all): the threaded entry

@@ -73,14 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. penalty-specialized for the compiled tier)",
         )
         p.add_argument(
-            "--batch-starts",
-            action=argparse.BooleanOptionalAction,
-            default=None,
-            help="prime each chunk of starts with one batched kernel call "
-            "(penalty-specialized profile only; --no-batch-starts forces "
-            "scalar first evaluations)",
-        )
-        p.add_argument(
             "--proposal-population", type=int, default=None, metavar="K",
             help="basin-hopping perturbation candidates screened per hop "
             "(default 1 = the paper's single-proposal trajectory)",
@@ -260,8 +252,6 @@ def _resolve_profile(args):
         overrides["max_cases"] = args.cases
     if getattr(args, "eval_profile", None) is not None:
         overrides["eval_profile"] = args.eval_profile
-    if getattr(args, "batch_starts", None) is not None:
-        overrides["batch_starts"] = args.batch_starts
     if getattr(args, "proposal_population", None) is not None:
         overrides["proposal_population"] = args.proposal_population
     if getattr(args, "native_threads", None) is not None:

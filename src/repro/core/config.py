@@ -80,12 +80,6 @@ class CoverMeConfig:
             inputs from a per-start memo cache instead of re-executing the
             program.  Values and seeded trajectories are unchanged; only the
             execution count drops.
-        batch_starts: Under the ``penalty-specialized`` profile (with numpy
-            available and ``memoize`` on), prime each chunk of starts with
-            one batched-kernel call over the chunk's start vectors instead
-            of N scalar first evaluations.  Values, seeded trajectories and
-            per-start evaluation counts are unchanged for any worker count;
-            only the Python-dispatch overhead drops.
         proposal_population: Perturbation candidates screened per
             basin-hopping Monte-Carlo move (builtin backend).  1 (the
             default) reproduces the historical single-proposal trajectory
@@ -137,7 +131,6 @@ class CoverMeConfig:
     batch_size: Optional[int] = None
     eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
     memoize: bool = True
-    batch_starts: bool = True
     proposal_population: int = 1
     native_threads: int = 1
     progress: Optional[Callable[[dict], None]] = field(default=None, repr=False, compare=False)

@@ -53,7 +53,6 @@ import numpy as np
 from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.pen import CoverMePenalty
 from repro.core.saturation import SaturationTracker
-from repro.instrument.batch import numpy_available as _batch_numpy_available
 from repro.instrument.native.cache import (
     NativeCompiling,
     NativeUnavailable,
@@ -103,11 +102,6 @@ class RepresentingFunction:
         # ``InstrumentedProgram.specialization_builds`` for true compiles).
         self._variant = None
         self.respecializations = 0
-        # Batched-kernel epoch state: mirrors the scalar variant protocol but
-        # with its own counters so the two tiers stay independently auditable.
-        self._batch_kernel = None
-        self.batch_respecializations = 0
-        self.batched_calls = 0
         # Native-kernel epoch state.  ``_native_ok`` latches False on the
         # first NativeUnavailable (no compiler, non-emittable program): the
         # instance degrades to the scalar specialized tier permanently, with
@@ -196,17 +190,15 @@ class RepresentingFunction:
     def evaluate_batch(self, X) -> np.ndarray:
         """Evaluate ``FOO_R`` at every row of an ``(N, arity)`` array at once.
 
-        Under the ``PENALTY_SPECIALIZED`` profile (with numpy available) the
-        whole batch goes through one
-        :class:`~repro.instrument.batch.BatchKernel` call, following the same
-        epoch protocol as ``__call__``: the kernel is reused verbatim while
-        the tracker's ``saturated_mask`` is unchanged and rebuilt (a cached
-        per-program lookup when the mask was seen before) only when a bit
-        flips.  Every other profile -- and the specialized profile when numpy
-        is missing -- degrades to a per-row loop over ``__call__``, so the
-        returned vector is bit-identical to N sequential scalar calls in all
-        configurations.  Non-finite register values clamp to the same large
-        finite penalty as the scalar path.
+        Under the ``PENALTY_NATIVE`` profile with a loaded kernel the whole
+        batch goes through one
+        :class:`~repro.instrument.native.kernel.NativeKernel` call, following
+        the same epoch protocol as ``__call__``.  Every other case -- other
+        profiles, a native build still pending, or a degraded native tier --
+        runs a per-row loop over ``__call__``, so the returned vector is
+        bit-identical to N sequential scalar calls in all configurations.
+        Non-finite register values clamp to the same large finite penalty as
+        the scalar path.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim == 1:
@@ -218,46 +210,29 @@ class RepresentingFunction:
         n = X.shape[0]
         if n == 0:
             return np.empty(0, dtype=np.float64)
-        if self._specialized and _batch_numpy_available():
+        native = None
+        if self._native and self._native_ok:
             mask = self.tracker.saturated_mask
-            native = None
-            if self._native and self._native_ok:
-                native = self._native_kernel
-                if native is None or native.saturated_mask != mask:
-                    native = self._native_kernel_for(mask)
-            if native is not None:
-                # Incremental reduction: the accumulator carries covered
-                # words across calls, so each batch reports only newly-set
-                # bits (ready for SaturationTracker.add_covered_mask).
-                acc = self._native_acc
-                if acc is None or self._native_acc_kernel is not native:
-                    acc = native.new_accumulator()
-                    self._native_acc = acc
-                    self._native_acc_kernel = native
-                raw, new_mask = native(
-                    X, n_threads=self.native_threads, accumulator=acc
-                )
-                self.last_new_covered_mask = new_mask
-            else:
-                kernel = self._batch_kernel
-                if kernel is None or kernel.saturated_mask != mask:
-                    kernel = self.program.batch_kernel(mask, self.epsilon)
-                    self._batch_kernel = kernel
-                    self.batch_respecializations += 1
-                raw, _cov = kernel(X)
+            native = self._native_kernel
+            if native is None or native.saturated_mask != mask:
+                native = self._native_kernel_for(mask)
+        if native is not None:
+            # Incremental reduction: the accumulator carries covered words
+            # across calls, so each batch reports only newly-set bits (ready
+            # for SaturationTracker.add_covered_mask).
+            acc = self._native_acc
+            if acc is None or self._native_acc_kernel is not native:
+                acc = native.new_accumulator()
+                self._native_acc = acc
+                self._native_acc_kernel = native
+            raw, self.last_new_covered_mask = native(
+                X, n_threads=self.native_threads, accumulator=acc
+            )
             out = np.where(np.isfinite(raw), raw, _CLAMP)
             self.evaluations += n
-            self.batched_calls += 1
             self.last_record = None
             self.last_value = float(out[-1])
             return out
-        if self._specialized:
-            self._warn_instance(
-                "evaluate-batch-degraded",
-                "numpy is unavailable: evaluate_batch() degrades to per-row "
-                "scalar evaluation (install the [batch] extra for vectorized "
-                "kernels)",
-            )
         out = np.empty(n, dtype=np.float64)
         for i in range(n):
             out[i] = self(X[i])

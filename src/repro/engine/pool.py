@@ -187,10 +187,10 @@ class StartPool:
         stream each chunk's results as its future completes.
         """
         if self.mode == "serial":
-            # Chunk priming (one batched kernel call over the batch's start
+            # Chunk priming (one native kernel call over the batch's start
             # vectors) happens here, inside the generator, so an abandoned
             # iterator never pays for it.  A consumer that stops early wastes
-            # the primed tail values, but they are vectorized lanes, not
+            # the primed tail values, but they are native kernel rows, not
             # scalar program executions.
             primed = prime_chunk(self.program, params, tasks)
             for task in tasks:

@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
-from repro.instrument.batch import numpy_available as batch_numpy_available
 from repro.instrument.program import InstrumentedProgram, ProgramOrigin, instrument
 from repro.instrument.runtime import BranchId, ExecutionProfile
 from repro.optimize.memo import BitPatternMemo
@@ -70,7 +69,6 @@ class StartParams:
     deadline: Optional[float] = None
     eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
     memoize: bool = True
-    batch_starts: bool = True
     proposal_population: int = 1
     native_threads: int = 1
 
@@ -109,25 +107,21 @@ def prime_chunk(
 ) -> Optional[dict[int, float]]:
     """One batched first-evaluation pass over a chunk's start vectors.
 
-    Under the specialized profile (numpy available, memo on) the chunk's
-    ``x0`` vectors go through a single
-    :class:`~repro.instrument.batch.BatchKernel` call; the resulting values
-    seed each start's memo, so the optimizer's opening evaluation at ``x0``
-    is a cache hit instead of a scalar program execution.  Returns
-    ``{task.index: r}`` for the primed tasks, or ``None`` when priming does
-    not apply.  Only tasks sharing the first task's saturation snapshot are
-    primed (batches always do; a defensive guard for hand-built chunks), so
-    the planted values are exactly what each start's own representing
-    function would compute and seeded trajectories are unchanged.
+    Under the native profile (memo on) the chunk's ``x0`` vectors go through
+    a single :class:`~repro.instrument.native.kernel.NativeKernel` call; the
+    resulting values seed each start's memo, so the optimizer's opening
+    evaluation at ``x0`` is a cache hit instead of a scalar program
+    execution.  That is the only tier where a batch costs less than its
+    rows, so every other profile returns ``None`` (no priming).  Returns
+    ``{task.index: r}`` for the primed tasks.  Only tasks sharing the first
+    task's saturation snapshot are primed (batches always do; a defensive
+    guard for hand-built chunks), so the planted values are exactly what
+    each start's own representing function would compute and seeded
+    trajectories are unchanged.
     """
-    if not (params.memoize and params.batch_starts) or len(tasks) < 2:
+    if not params.memoize or len(tasks) < 2:
         return None
-    if ExecutionProfile(params.eval_profile) not in (
-        ExecutionProfile.PENALTY_SPECIALIZED,
-        ExecutionProfile.PENALTY_NATIVE,
-    ):
-        return None
-    if not batch_numpy_available():
+    if ExecutionProfile(params.eval_profile) is not ExecutionProfile.PENALTY_NATIVE:
         return None
     if params.deadline is not None and time.time() >= params.deadline:
         return None

@@ -1,8 +1,8 @@
 """Native C emission tier (the ``PENALTY_NATIVE`` profile).
 
 This package compiles the same lowered IR + saturation mask the scalar
-specializer (:mod:`repro.instrument.specialize`) and the batched vectorizer
-(:mod:`repro.instrument.batch`) consume down to machine code:
+specializer (:mod:`repro.instrument.specialize`) consumes down to machine
+code:
 
 * :mod:`repro.instrument.native.emit` -- the backend-agnostic emitter core.
   It walks the *specialized* units (probes already resolved against the mask)

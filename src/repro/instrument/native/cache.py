@@ -155,20 +155,32 @@ def native_cache_dir() -> Path:
     return base / "repro" / "native-kernels"
 
 
+def _cached_kernels(directory: Path) -> list[tuple[os.stat_result, Path]]:
+    """``(stat, path)`` of every cached ``.so``, oldest first.
+
+    Dot-prefixed ``.so`` files are other builders' in-flight temp files
+    (see :func:`compile_kernel`), not cache entries; entries that vanish
+    between the listing and the ``stat`` (a concurrent pruner or cleaner
+    got there first) are skipped."""
+    entries = []
+    for path in directory.glob("*.so"):
+        if path.name.startswith("."):
+            continue
+        try:
+            entries.append((path.stat(), path))
+        except FileNotFoundError:
+            continue
+    entries.sort(key=lambda entry: entry[0].st_mtime)
+    return entries
+
+
 def _prune_disk_cache(directory: Path) -> int:
     """FIFO-by-mtime bound on the number of cached kernels."""
-    bound = disk_cache_max()
-    sos = sorted(directory.glob("*.so"), key=lambda p: p.stat().st_mtime)
-    evicted = 0
-    while len(sos) - evicted > bound:
-        victim = sos[evicted]
-        evicted += 1
-        for path in (victim, victim.with_suffix(".c")):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-    return evicted
+    victims = [path for _stat, path in _cached_kernels(directory)]
+    del victims[max(0, len(victims) - disk_cache_max()):]
+    for victim in victims:
+        _cleanup(victim, victim.with_suffix(".c"))
+    return len(victims)
 
 
 def compile_kernel(c_source: str, digest: str) -> Path:
@@ -250,6 +262,13 @@ def _bg_worker() -> None:
             outcome = ("done", path)
         except NativeUnavailable as exc:
             outcome = ("failed", exc)
+        except Exception as exc:  # noqa: BLE001 - the worker must outlive any build
+            # A full disk, a vanished cache directory, ...: record the
+            # failure for this digest (callers degrade to the specialized
+            # tier) instead of ending the thread and stranding the queue.
+            failure = NativeUnavailable(f"background build failed: {exc!r}")
+            failure.__cause__ = exc
+            outcome = ("failed", failure)
         with _BG_LOCK:
             _BG_JOBS[digest] = outcome
             _BG_STATE["compiled" if outcome[0] == "done" else "failed"] += 1
@@ -350,17 +369,15 @@ def native_cache_entries() -> list[dict]:
     directory = native_cache_dir()
     if not directory.is_dir():
         return []
-    entries = []
-    for so_path in sorted(directory.glob("*.so"),
-                          key=lambda p: p.stat().st_mtime, reverse=True):
-        stat = so_path.stat()
-        entries.append({
+    return [
+        {
             "digest": so_path.stem,
             "size": stat.st_size,
             "mtime": stat.st_mtime,
             "has_source": so_path.with_suffix(".c").exists(),
-        })
-    return entries
+        }
+        for stat, so_path in reversed(_cached_kernels(directory))
+    ]
 
 
 def native_clean_disk_cache() -> int:

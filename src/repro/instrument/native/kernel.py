@@ -1,12 +1,12 @@
 """Build, cache and run native penalty kernels (``PENALTY_NATIVE``).
 
-:func:`build_native_kernel` mirrors :func:`~repro.instrument.batch.build_batch_kernel`:
-the scalar :class:`~repro.instrument.program.SpecializedVariant` is built
-first (it is the per-row bail target and supplies the namespace whose
-constants the emitter folds), then the typed IR is emitted, rendered to C99,
-compiled into the content-addressed disk cache and loaded with
-:mod:`ctypes`.  Loaded kernels are cached module-wide per digest with the
-same hit/miss/evict bookkeeping as the specialized and batched caches.
+:func:`build_native_kernel` builds the scalar
+:class:`~repro.instrument.program.SpecializedVariant` first (it is the
+per-row bail target and supplies the namespace whose constants the emitter
+folds), then the typed IR is emitted, rendered to C99, compiled into the
+content-addressed disk cache and loaded with :mod:`ctypes`.  Loaded
+kernels are cached module-wide per digest with the same hit/miss/evict
+bookkeeping as the specialized cache.
 
 The generated code keeps all state in a per-call stack context, so one
 loaded kernel is safely shared across threads; worker processes re-open the
@@ -19,10 +19,7 @@ import ctypes
 import hashlib
 import threading
 
-try:  # pragma: no cover - exercised by monkeypatching in tests
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.instrument.native.c_backend import BACKEND_NAME, render_c
@@ -204,19 +201,16 @@ class CovAccumulator:
 
     def __init__(self, n_words: int):
         self.n_words = n_words
-        self.words = (
-            np.zeros(n_words, dtype=np.uint64) if np is not None else None
-        )
+        self.words = np.zeros(n_words, dtype=np.uint64)
         self.covered = 0  # running union, including scalar-fallback bits
 
 
 class NativeKernel:
     """One loaded native evaluator bound to a program's specialized variant.
 
-    ``kernel(X)`` has exactly the :class:`~repro.instrument.batch.BatchKernel`
-    contract: an ``(N, arity)`` float64 array in, ``(r, covered)`` out, where
-    ``r`` is the raw penalty vector (callers clamp) and ``covered`` the union
-    covered-bit summary over all rows.  ``kernel(X, n_threads=k)`` evaluates
+    ``kernel(X)`` maps an ``(N, arity)`` float64 array to ``(r, covered)``,
+    where ``r`` is the raw penalty vector (callers clamp) and ``covered``
+    the union covered-bit summary over all rows.  ``kernel(X, n_threads=k)`` evaluates
     the rows on ``k`` native threads with bit-identical results (private
     per-thread coverage partials, merged in thread-index order).  Passing a
     :class:`CovAccumulator` switches the coverage return to the
@@ -228,8 +222,7 @@ class NativeKernel:
     ``evaluate``.
     """
 
-    __slots__ = ("variant", "loaded", "saturated_mask", "epsilon",
-                 "arity", "mode")
+    __slots__ = ("variant", "loaded", "saturated_mask", "epsilon", "arity")
 
     def __init__(self, variant, loaded: _LoadedKernel):
         self.variant = variant
@@ -237,7 +230,6 @@ class NativeKernel:
         self.saturated_mask = variant.saturated_mask
         self.epsilon = variant.epsilon
         self.arity = loaded.arity
-        self.mode = "native"
 
     @property
     def digest(self) -> str:
@@ -273,8 +265,6 @@ class NativeKernel:
         rows.  With one, the native code ORs into the accumulator's word
         buffer (never zeroed) and ``covered`` is only the newly-set mask;
         ``accumulator.covered`` holds the running union."""
-        if np is None:
-            return self._call_rows(X, accumulator=accumulator)
         X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         n = X.shape[0]
         if X.shape[1] != self.arity:
@@ -307,21 +297,6 @@ class NativeKernel:
         new_mask = covered & ~accumulator.covered
         accumulator.covered |= covered
         return r, new_mask
-
-    def _call_rows(self, X, accumulator=None):
-        """No-numpy fallback: per-row native scalar calls, union coverage."""
-        rows = [[float(v) for v in row] for row in X]
-        out = [0.0] * len(rows)
-        covered = 0
-        for row_index, row in enumerate(rows):
-            row_r, row_cov = self.scalar(row)
-            out[row_index] = row_r
-            covered |= row_cov
-        if accumulator is None:
-            return out, covered
-        new_mask = covered & ~accumulator.covered
-        accumulator.covered |= covered
-        return out, new_mask
 
 
 def build_native_kernel(program, saturated_mask: int,

@@ -45,12 +45,6 @@ from repro.instrument.runtime import (
     Runtime,
     RuntimeHandle,
 )
-from repro.instrument.batch import (
-    BatchKernel,
-    batched_cache_info,
-    build_batch_kernel,
-    clear_batched_cache,
-)
 from repro.instrument.native.cache import NativeUnavailable
 from repro.instrument.native.kernel import (
     NativeKernel,
@@ -111,27 +105,24 @@ def compiled_cache_info() -> dict:
 
     The top-level ``entries``/``max_entries`` keys describe the generic
     compiled-unit cache (backwards compatible); ``specialized`` nests the
-    per-mask specialization cache's size and hit/miss/evict counters,
-    ``batched`` nests the batched-kernel plan cache's, and ``native`` the
-    loaded native-kernel cache's (plus its disk-cache entry count and the
+    per-mask specialization cache's size and hit/miss/evict counters, and
+    ``native`` the loaded native-kernel cache's (plus its disk-cache entry count and the
     detected compiler version).
     """
     return {
         "entries": len(_CODE_CACHE),
         "max_entries": _CODE_CACHE_MAX,
         "specialized": specialized_cache_info(),
-        "batched": batched_cache_info(),
         "native": native_cache_info(),
     }
 
 
 def clear_compiled_cache() -> None:
-    """Drop every cached compiled unit, specialization, batched kernel plan
-    and loaded native kernel (primarily for tests)."""
+    """Drop every cached compiled unit, specialization and loaded native
+    kernel (primarily for tests)."""
     with _CODE_CACHE_LOCK:
         _CODE_CACHE.clear()
     clear_specialized_cache()
-    clear_batched_cache()
     clear_native_cache()
 
 
@@ -166,9 +157,6 @@ def _compiled_unit(source: str, function_name: str, start_label: int) -> Compile
 #: monotonically within one search, so live masks are few; the FIFO bound only
 #: protects pathological callers cycling through many masks.
 _VARIANTS_MAX = 64
-
-#: Bound on cached batched kernels per program instance (same rationale).
-_BATCH_KERNELS_MAX = 64
 
 #: Bound on cached native kernels per program instance (same rationale).
 _NATIVE_KERNELS_MAX = 64
@@ -270,10 +258,8 @@ class InstrumentedProgram:
     origin: Optional[ProgramOrigin] = field(repr=False, default=None)
     units: tuple[tuple[str, str, int], ...] = field(repr=False, default=())
     specialization_builds: int = field(default=0, repr=False)
-    batched_kernel_builds: int = field(default=0, repr=False)
     native_kernel_builds: int = field(default=0, repr=False)
     _variants: dict = field(default_factory=dict, repr=False)
-    _batch_kernels: dict = field(default_factory=dict, repr=False)
     _native_kernels: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -439,33 +425,6 @@ class InstrumentedProgram:
         self._variants[key] = variant
         return variant
 
-    def batch_kernel(
-        self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON
-    ) -> BatchKernel:
-        """The batched kernel of this program for ``saturated_mask``.
-
-        Kernels join the per-program variant cache with the same
-        epoch/re-specialization protocol as :meth:`specialize`: re-requesting
-        a mask an epoch already used is a dictionary lookup, and the plan
-        compile behind a new mask is memoized module-wide.
-        ``batched_kernel_builds`` counts true kernel constructions.
-        """
-        if not self.units:
-            raise InstrumentationError(
-                f"program {self.name!r} carries no source units and cannot be batched"
-            )
-        mask = saturated_mask & ((1 << (2 * self.n_conditionals)) - 1)
-        key = (mask, epsilon)
-        kernel = self._batch_kernels.get(key)
-        if kernel is not None:
-            return kernel
-        kernel = build_batch_kernel(self, mask, epsilon)
-        self.batched_kernel_builds += 1
-        while len(self._batch_kernels) >= _BATCH_KERNELS_MAX:
-            self._batch_kernels.pop(next(iter(self._batch_kernels)))
-        self._batch_kernels[key] = kernel
-        return kernel
-
     def native_kernel(
         self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON,
         wait: bool = True
@@ -474,8 +433,8 @@ class InstrumentedProgram:
         ``saturated_mask``.
 
         Kernels join the per-program variant cache with the same
-        epoch/re-specialization protocol as :meth:`specialize` and
-        :meth:`batch_kernel`; the out-of-process ``cc`` compile behind a new
+        epoch/re-specialization protocol as :meth:`specialize`; the
+        out-of-process ``cc`` compile behind a new
         mask is content-addressed on disk and memoized module-wide.
         ``native_kernel_builds`` counts true kernel constructions.  Raises
         :class:`~repro.instrument.native.cache.NativeUnavailable` when no C

@@ -96,10 +96,11 @@ class BitPatternMemo:
 
     # -- batch APIs -----------------------------------------------------------------
     #
-    # The engine's batched tier submits whole (N, arity) float64 arrays.  For
-    # a C-contiguous float64 row, ``row.tobytes()`` is byte-for-byte the same
-    # key as ``struct.pack(f"={arity}d", *row)``, so batch and scalar lookups
-    # share one cache without N struct.pack calls.
+    # Batch callers (native chunk priming, proposal populations) submit whole
+    # (N, arity) float64 arrays.  For a C-contiguous float64 row,
+    # ``row.tobytes()`` is byte-for-byte the same key as
+    # ``struct.pack(f"={arity}d", *row)``, so batch and scalar lookups share
+    # one cache without N struct.pack calls.
 
     def seed(self, x, value) -> None:
         """Insert a known value for ``x`` without calling the objective.

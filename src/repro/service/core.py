@@ -42,7 +42,14 @@ from typing import Optional, Union
 
 from repro.baselines.harness import Budget
 from repro.core.report import ToolRunSummary
-from repro.service.jobs import JobRequest, build_job_key, derive_budget, execute_job, execute_job_remote
+from repro.service.jobs import (
+    JobRequest,
+    build_job_key,
+    derive_budget,
+    execute_job,
+    execute_job_remote,
+    instrument_for_lookup,
+)
 from repro.service.queue import AdmissionQueue, QueueFull  # noqa: F401  (re-exported)
 from repro.service.shards import ShardRouter
 from repro.service.workers import WorkerPool
@@ -275,6 +282,12 @@ class CoverageService:
         self._registry_limit = 4096
         self._executor = None
         self._executor_lock = threading.Lock()
+        # Running a job installs runtimes into its program's handle, so
+        # concurrent jobs of one case must not share an instance: each
+        # thread worker keeps its own clone per case (index = worker id).
+        self._worker_programs = (
+            [{} for _ in range(self.n_workers)] if worker_mode == "thread" else None
+        )
         if worker_mode == "inline":
             self.queue = None
             self.pool = None
@@ -380,9 +393,16 @@ class CoverageService:
                 pool_factory = None
                 if self.distributed is not None and job.request.tool == "CoverMe":
                     pool_factory = self.distributed.pool_factory(case_key=job.request.case.key)
+                program = None
+                if self._worker_programs is not None:
+                    programs = self._worker_programs[worker_id]
+                    case = job.request.case
+                    program = programs.get(case)
+                    if program is None:
+                        program = programs[case] = instrument_for_lookup(case).clone()
                 executed = execute_job(
                     job.request, job.budget, progress=job.add_progress,
-                    pool_factory=pool_factory,
+                    pool_factory=pool_factory, program=program,
                 )
                 payload, warning_list = executed.payload, executed.warnings
             job.warnings.extend(warning_list)

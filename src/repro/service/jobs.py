@@ -81,8 +81,7 @@ TOOL_FACTORIES: dict[str, Callable[[Profile], object]] = {
 #: selects *which* jobs run, and the engine guarantees seeded results are
 #: identical for every worker count.
 _PROFILE_FP_EXCLUDE = frozenset(
-    {"name", "max_cases", "n_workers", "eval_profile", "batch_starts",
-     "native_threads"}
+    {"name", "max_cases", "n_workers", "eval_profile", "native_threads"}
 )
 
 #: Tool state excluded from fingerprints: mutable run-to-run scratch, and
@@ -91,8 +90,8 @@ _PROFILE_FP_EXCLUDE = frozenset(
 #: ``eval_profile`` -- like ``n_workers`` -- cannot change stored results;
 #: ``progress`` is a pure observer the service attaches to stream events).
 _TOOL_FP_EXCLUDE = frozenset(
-    {"last_evaluations", "n_workers", "worker_mode", "verbose", "batch_starts",
-     "eval_profile", "native_threads", "progress", "pool_factory"}
+    {"last_evaluations", "n_workers", "worker_mode", "verbose", "eval_profile",
+     "native_threads", "progress", "pool_factory"}
 )
 
 
@@ -278,12 +277,14 @@ def execute_job(
     budget: Budget,
     progress: Optional[Callable[[dict], None]] = None,
     pool_factory: Optional[Callable] = None,
+    program=None,
 ) -> ExecutedJob:
     """Execute one job and return its storable payload.
 
     This is the single execution choke point of the service layer: the tool
     is instantiated fresh (per-job seeding), the program comes from the
-    warm per-process instrumentation cache, and warnings raised during the
+    warm per-process instrumentation cache unless the caller passes its own
+    (thread workers pass their private clone), and warnings raised during the
     run (notably the one-time native-tier degradation ``RuntimeWarning``)
     are captured and surfaced in :attr:`ExecutedJob.warnings` instead of
     dying on a worker's stderr.  Warning capture uses the process-wide
@@ -298,7 +299,8 @@ def execute_job(
     :class:`~repro.distributed.coordinator.LeasePool`.  Both are excluded
     from fingerprints: they are result-neutral by the engine's contract.
     """
-    program = instrument_for_lookup(request.case)
+    if program is None:
+        program = instrument_for_lookup(request.case)
     tool = request.resolve_factory()(request.profile)
     if isinstance(getattr(tool, "config", None), CoverMeConfig):
         attach = {}

@@ -1,14 +1,10 @@
-"""Tests of the batched vectorized penalty tier (``instrument/batch.py``).
+"""Tests of ``RepresentingFunction.evaluate_batch`` on the per-row path.
 
-The contract under test is the one the engine relies on: one
-:class:`~repro.instrument.batch.BatchKernel` call over an ``(N, arity)``
-float64 array returns exactly the penalty vector that N scalar
-``PENALTY_SPECIALIZED`` executions would return -- bit-for-bit, NaN and
-infinity rows included, in both the whole-array **vector** mode and the
-per-row **rows** fallback -- plus the union of their covered bits.  On top
-of that sit the cache/epoch plumbing, the memo batch APIs, the
-numpy-absence degradation, the vectorized-proposal optimizer path and the
-engine-level identity of batched vs scalar runs.
+Every profile without a native kernel evaluates a ``(N, arity)`` batch by
+looping over the scalar ``__call__``; the contract is that the returned
+vector equals N sequential scalar calls bit-for-bit, NaN and infinity rows
+included, and that each row counts as one evaluation.  The native batched
+path is covered in ``tests/test_native.py``.
 """
 
 from __future__ import annotations
@@ -16,429 +12,45 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pytest
 
-from repro.core.config import CoverMeConfig
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
-from repro.engine.core import SearchEngine
-from repro.experiments.runner import instrument_case
-from repro.fdlibm.suite import BENCHMARKS
-from repro.instrument import batch as batch_module
-from repro.instrument.program import (
-    clear_compiled_cache,
-    compiled_cache_info,
-    instrument,
-)
+from repro.instrument.program import instrument
 from repro.instrument.runtime import ExecutionProfile
-from repro.optimize.basinhopping import basinhopping
-from repro.optimize.memo import BitPatternMemo
 from tests import sample_programs as sp
-from tests.test_specialize import PARITY_TARGETS
 
-_SPECIAL_VALUES = (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e308, 1e-320, 2.0)
-
-#: Programs whose loops never terminate on +inf input (in every tier alike).
-_NO_INF = (sp.loop_program, sp.while_else_loop)
+_SPECIAL_VALUES = (0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e308, 1e-320)
 
 
 def _bits(value: float) -> bytes:
     return struct.pack("=d", value)
 
 
-def _point_rows(rng, target, arity: int, n_random: int) -> np.ndarray:
-    specials = [s for s in _SPECIAL_VALUES if not (target in _NO_INF and s == float("inf"))]
+def _point_rows(arity: int, n_random: int) -> np.ndarray:
+    rng = np.random.default_rng(5)
     rows = [rng.normal(scale=5.0, size=arity) for _ in range(n_random)]
-    rows += [[s] * arity for s in specials]
+    rows += [[s] * arity for s in _SPECIAL_VALUES]
     return np.ascontiguousarray(rows, dtype=np.float64)
 
 
-def _assert_batch_parity(program, mask: int, X: np.ndarray) -> None:
-    kernel = program.batch_kernel(mask)
-    r_batch, cov_batch = kernel(X)
-    cov_expected = 0
+def _assert_matches_scalar(target, profile: ExecutionProfile) -> None:
+    program = instrument(target)
+    batched = RepresentingFunction(program, SaturationTracker(program), profile=profile)
+    scalar = RepresentingFunction(program, SaturationTracker(program), profile=profile)
+    X = _point_rows(program.arity, n_random=10)
+    values = batched.evaluate_batch(X)
+    assert batched.evaluations == X.shape[0]
+    assert batched.last_value == values[-1]
     for i, row in enumerate(X):
-        # .tolist() yields Python floats, matching the engine's scalar
-        # coercion; numpy scalars would change the program's own
-        # bool/float type checks.
-        _, r_scalar, cov_scalar = program.run_specialized(row.tolist(), mask)
-        cov_expected |= cov_scalar
-        assert _bits(float(r_batch[i])) == _bits(r_scalar), (
-            program.name,
-            hex(mask),
-            kernel.mode,
-            row,
-            float(r_batch[i]),
-            r_scalar,
-        )
-    assert cov_batch == cov_expected, (program.name, hex(mask), kernel.mode)
-
-
-class TestSampleFormParity:
-    @pytest.mark.parametrize("target", PARITY_TARGETS, ids=lambda f: f.__name__)
-    def test_bit_identical_over_random_masks(self, target):
-        program = instrument(target)
-        rng = np.random.default_rng(29)
-        n = program.n_conditionals
-        for _ in range(6):
-            mask = int(rng.integers(0, 1 << (2 * n)))
-            X = _point_rows(rng, target, program.arity, n_random=6)
-            _assert_batch_parity(program, mask, X)
-
-    def test_zero_mask_and_all_saturated_mask(self):
-        for target in (sp.paper_foo, sp.nested_boolean, sp.chained_comparison):
-            program = instrument(target)
-            rng = np.random.default_rng(31)
-            X = _point_rows(rng, target, program.arity, n_random=4)
-            for mask in (0, (1 << (2 * program.n_conditionals)) - 1):
-                _assert_batch_parity(program, mask, X)
-
-
-class TestFdlibmSuiteParity:
-    @pytest.mark.parametrize(
-        "case", BENCHMARKS, ids=lambda c: c.function.split("(")[0]
-    )
-    def test_bit_identical_row_for_row(self, case):
-        program = instrument_case(case)
-        rng = np.random.default_rng(23)
-        n_bits = 2 * program.n_conditionals
-        rows = [rng.uniform(-50, 50, size=program.arity) for _ in range(8)]
-        rows += [[s] * program.arity for s in _SPECIAL_VALUES]
-        X = np.ascontiguousarray(rows, dtype=np.float64)
-        for trial in range(3):
-            mask = int(rng.integers(0, 1 << min(n_bits, 62))) if trial else 0
-            _assert_batch_parity(program, mask, X)
-
-
-class TestModeSelection:
-    def test_vectorizable_suite_entries_compile_to_vector_mode(self):
-        by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}
-        for name in ("floor", "nextafter", "expm1"):
-            program = instrument_case(by_name[name])
-            assert program.batch_kernel(0).mode == "vector", name
-
-    def test_loops_and_helpers_fall_back_to_rows(self):
-        for target in (sp.loop_program, sp.huge_int_guard):
-            program = instrument(target)
-            assert program.batch_kernel(0).mode == "rows", target.__name__
-        # Multi-unit programs (instrumented helpers) always run per-row.
-        multi = instrument(sp.calls_helper, extra_functions=[sp.helper_goo])
-        assert multi.batch_kernel(0).mode == "rows"
-
-    def test_simple_branch_is_vector(self):
-        program = instrument(sp.paper_foo)
-        assert program.batch_kernel(0).mode == "vector"
-
-
-def trunc_overflows(x):
-    k = int(x)
-    if k > 10:
-        return 1.0
-    return 0.0
-
-
-class TestRuntimeDemotion:
-    def test_int64_overflow_demotes_to_rows_with_identical_values(self):
-        """int() of a double >= 2**63 cannot be replicated in int64 lanes:
-        the kernel bails out of vector mode mid-call, re-runs the batch
-        through the per-row path and stays demoted (sticky)."""
-        program = instrument(trunc_overflows)
-        kernel = program.batch_kernel(0)
-        assert kernel.mode == "vector"
-        X = np.ascontiguousarray([[2.5], [1e19], [-3.0]], dtype=np.float64)
-        _assert_batch_parity(program, 0, X)
-        assert kernel.mode == "rows"
-        # Still correct (and still one kernel) after demotion.
-        _assert_batch_parity(program, 0, X)
-
-
-class TestCaches:
-    def test_program_kernel_cache_and_build_counter(self):
-        program = instrument(sp.paper_foo)
-        first = program.batch_kernel(0)
-        assert program.batch_kernel(0) is first
-        assert program.batched_kernel_builds == 1
-        program.batch_kernel(3)
-        assert program.batched_kernel_builds == 2
-
-    def test_compiled_cache_info_reports_batched_and_clear_clears_it(self):
-        clear_compiled_cache()
-        info = compiled_cache_info()
-        assert "batched" in info
-        assert {"hits", "misses", "evictions", "entries"} <= set(info["batched"])
-        baseline = compiled_cache_info()["batched"]["entries"]
-        program = instrument(sp.paper_foo)
-        program.batch_kernel(0)
-        assert compiled_cache_info()["batched"]["entries"] > baseline
-        clear_compiled_cache()
-        after = compiled_cache_info()["batched"]
-        assert after["entries"] == 0
-        assert after["hits"] == 0 and after["misses"] == 0
-
-    def test_module_cache_hits_across_program_instances(self):
-        clear_compiled_cache()
-        instrument(sp.paper_foo).batch_kernel(0)
-        misses_before = compiled_cache_info()["batched"]["misses"]
-        instrument(sp.paper_foo).batch_kernel(0)
-        info = compiled_cache_info()["batched"]
-        assert info["misses"] == misses_before
-        assert info["hits"] >= 1
+        assert _bits(float(values[i])) == _bits(scalar(row)), row
 
 
 class TestRepresentingEvaluateBatch:
     def test_matches_scalar_calls_and_counts_evaluations(self):
-        program = instrument(sp.paper_foo)
-        tracker = SaturationTracker(program)
-        batched = RepresentingFunction(
-            program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-        scalar = RepresentingFunction(
-            program,
-            SaturationTracker(program),
-            profile=ExecutionProfile.PENALTY_SPECIALIZED,
-        )
-        rng = np.random.default_rng(5)
-        X = _point_rows(rng, sp.paper_foo, program.arity, n_random=10)
-        values = batched.evaluate_batch(X)
-        assert batched.evaluations == X.shape[0]
-        assert batched.batched_calls == 1
-        assert batched.batch_respecializations == 1
-        for i, row in enumerate(X):
-            assert _bits(float(values[i])) == _bits(scalar(row))
-
-    def test_epoch_protocol_rebuilds_only_on_mask_flip(self):
-        program = instrument(sp.paper_foo)
-        tracker = SaturationTracker(program)
-        representing = RepresentingFunction(
-            program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-        X = np.ascontiguousarray([[4.0], [1.0]], dtype=np.float64)
-        representing.evaluate_batch(X)
-        representing.evaluate_batch(X)
-        assert representing.batch_respecializations == 1
-        builds = program.batched_kernel_builds
-        # Flip a saturation bit: the next batch must pick up a new kernel.
-        _, coverage = representing.evaluate_with_coverage([4.0])
-        tracker.add_covered(set(coverage.covered))
-        if tracker.saturated_mask != 0:
-            representing.evaluate_batch(X)
-            assert representing.batch_respecializations == 2
-            assert program.batched_kernel_builds >= builds
+        for target in (sp.paper_foo, sp.nested_branches):
+            _assert_matches_scalar(target, ExecutionProfile.PENALTY_SPECIALIZED)
 
     def test_non_specialized_profile_loops_per_row(self):
-        program = instrument(sp.paper_foo)
-        representing = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_ONLY
-        )
-        X = np.ascontiguousarray([[4.0], [0.0], [-1.0]], dtype=np.float64)
-        values = representing.evaluate_batch(X)
-        scalar = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_ONLY
-        )
-        for i, row in enumerate(X):
-            assert _bits(float(values[i])) == _bits(scalar(row))
-
-
-class TestNumpyAbsentDegradation:
-    def test_falls_back_to_scalar_with_one_warning(self, monkeypatch):
-        program = instrument(sp.paper_foo)
-        representing = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-        scalar = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-        monkeypatch.setattr(batch_module, "np", None)
-        monkeypatch.setattr(batch_module, "_WARNED", set())
-        assert not batch_module.numpy_available()
-        X = np.ascontiguousarray([[4.0], [0.5], [-2.0]], dtype=np.float64)
-        with pytest.warns(RuntimeWarning, match="evaluate_batch"):
-            values = representing.evaluate_batch(X)
-        for i, row in enumerate(X):
-            assert _bits(float(values[i])) == _bits(scalar(row))
-        # Second batch: same values, no second warning.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            representing.evaluate_batch(X)
-
-    def test_build_batch_kernel_without_numpy_runs_rows(self, monkeypatch):
-        program = instrument(sp.paper_foo)
-        monkeypatch.setattr(batch_module, "np", None)
-        kernel = batch_module.build_batch_kernel(program, 0)
-        assert kernel.mode == "rows"
-        r, cov = kernel([[4.0], [1.0]])
-        _, r0, c0 = program.run_specialized([4.0], 0)
-        _, r1, c1 = program.run_specialized([1.0], 0)
-        assert [_bits(float(v)) for v in r] == [_bits(r0), _bits(r1)]
-        assert cov == c0 | c1
-
-
-class TestMemoBatchAPIs:
-    def _make(self, calls):
-        def func(x):
-            calls.append(tuple(np.atleast_1d(x)))
-            return float(np.sum(np.atleast_1d(x)) * 2.0)
-
-        return BitPatternMemo(func, arity=2, max_entries=8)
-
-    def test_get_many_put_many_roundtrip(self):
-        calls = []
-        memo = self._make(calls)
-        X = np.ascontiguousarray([[1.0, 2.0], [3.0, -0.0], [float("nan"), 1.0]])
-        values, missing = memo.get_many(X)
-        assert values == [None, None, None] and missing == [0, 1, 2]
-        memo.put_many(X, missing, [6.0, 6.0, 99.0])
-        values, missing = memo.get_many(X)
-        assert missing == [] and values == [6.0, 6.0, 99.0]
-        assert memo.hits == 3 and memo.misses == 3
-        # Row-bytes keys are interchangeable with the scalar struct.pack
-        # keys: a scalar call at a stored row is a hit, -0.0 stays distinct
-        # from 0.0 and NaN rows are cacheable.
-        assert memo([1.0, 2.0]) == 6.0
-        assert len(calls) == 0
-        memo([3.0, 0.0])
-        assert len(calls) == 1
-
-    def test_evaluate_batch_serves_hits_and_fills_misses(self):
-        calls = []
-        memo = self._make(calls)
-        X = np.ascontiguousarray([[1.0, 1.0], [2.0, 2.0]])
-        first = memo.evaluate_batch(X)
-        assert first == [4.0, 8.0] and len(calls) == 2
-        X2 = np.ascontiguousarray([[1.0, 1.0], [5.0, 0.0]])
-        second = memo.evaluate_batch(X2)
-        assert second == [4.0, 10.0]
-        assert len(calls) == 3  # only the new row executed
-
-    def test_evaluate_batch_prefers_wrapped_batch_path(self):
-        class Obj:
-            def __init__(self):
-                self.batched = 0
-
-            def __call__(self, x):
-                raise AssertionError("scalar path must not run")
-
-            def evaluate_batch(self, X):
-                self.batched += 1
-                return [float(v[0]) for v in X]
-
-        obj = Obj()
-        memo = BitPatternMemo(obj, arity=1)
-        out = memo.evaluate_batch(np.ascontiguousarray([[1.5], [2.5]]))
-        assert out == [1.5, 2.5] and obj.batched == 1
-
-    def test_seed_plants_value_without_counting(self):
-        calls = []
-        memo = self._make(calls)
-        memo.seed([1.0, 2.0], 42.0)
-        assert memo.hits == 0 and memo.misses == 0
-        assert memo([1.0, 2.0]) == 42.0
-        assert memo.hits == 1 and len(calls) == 0
-
-
-class TestProposalPopulation:
-    def _objective(self):
-        program = instrument(sp.paper_foo)
-        return RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-
-    def test_population_one_is_the_historical_trajectory(self):
-        a = basinhopping(
-            self._objective(), [3.0], n_iter=4, rng=np.random.default_rng(9), memoize=True
-        )
-        b = basinhopping(
-            self._objective(),
-            [3.0],
-            n_iter=4,
-            rng=np.random.default_rng(9),
-            memoize=True,
-            proposal_population=1,
-        )
-        assert a.fun == b.fun and tuple(a.x) == tuple(b.x) and a.nfev == b.nfev
-
-    def test_batched_and_loop_screening_agree(self):
-        results = []
-        for use_batch in (True, False):
-            objective = self._objective()
-            if not use_batch:
-                objective = objective.__call__  # plain callable: loop fallback
-            result = basinhopping(
-                objective,
-                [3.0],
-                n_iter=4,
-                rng=np.random.default_rng(9),
-                proposal_population=5,
-            )
-            results.append((result.fun, tuple(result.x), result.nfev))
-        assert results[0] == results[1]
-
-    def test_population_must_be_positive(self):
-        with pytest.raises(ValueError):
-            basinhopping(lambda x: 0.0, [1.0], proposal_population=0)
-        with pytest.raises(ValueError):
-            CoverMeConfig(proposal_population=0)
-
-
-class TestEngineIdentity:
-    def _run(self, target, *, batch_starts, n_workers, mode, profile, population=1):
-        program = instrument(target)
-        config = CoverMeConfig(
-            n_start=16,
-            n_iter=2,
-            seed=13,
-            eval_profile=profile,
-            batch_starts=batch_starts,
-            proposal_population=population,
-            n_workers=n_workers,
-            worker_mode=mode,
-        )
-        result = SearchEngine(program, config).run()
-        return (
-            tuple(result.inputs),
-            result.covered,
-            result.saturated,
-            frozenset(result.infeasible),
-            result.evaluations,
-            result.n_starts_used,
-            tuple(
-                (t.start, t.minimum_point, t.minimum_value, t.accepted, t.evaluations)
-                for t in result.traces
-            ),
-        )
-
-    @pytest.mark.parametrize("target", (sp.paper_foo, sp.nested_boolean), ids=lambda f: f.__name__)
-    def test_run_sets_identical_batched_vs_scalar(self, target):
-        for n_workers, mode in ((1, "serial"), (3, "thread")):
-            batched = self._run(
-                target,
-                batch_starts=True,
-                n_workers=n_workers,
-                mode=mode,
-                profile="penalty-specialized",
-            )
-            scalar = self._run(
-                target,
-                batch_starts=False,
-                n_workers=n_workers,
-                mode=mode,
-                profile="penalty-specialized",
-            )
-            generic = self._run(
-                target, batch_starts=True, n_workers=n_workers, mode=mode, profile="penalty"
-            )
-            assert batched == scalar, (target.__name__, mode)
-            assert batched == generic, (target.__name__, mode)
-
-    def test_proposal_population_runs_and_covers(self):
-        outcome = self._run(
-            sp.paper_foo,
-            batch_starts=True,
-            n_workers=1,
-            mode="serial",
-            profile="penalty-specialized",
-            population=4,
-        )
-        assert outcome[1]  # covered branches found
+        for profile in (ExecutionProfile.PENALTY_ONLY, ExecutionProfile.FULL_TRACE):
+            _assert_matches_scalar(sp.paper_foo, profile)
+            _assert_matches_scalar(sp.nested_branches, profile)

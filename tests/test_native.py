@@ -27,6 +27,7 @@ import dataclasses
 import math
 import os
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -258,9 +259,9 @@ class TestRepresentingFunctionNative:
         _, native, specialized = self._pair(sp.paper_foo)
         X = np.ascontiguousarray([[v] for v in _ADVERSARIAL], dtype=np.float64)
         values = native.evaluate_batch(X)
-        assert native.batched_calls == 1
-        assert native.batch_respecializations == 0  # served natively
-        assert native.native_respecializations == 1
+        assert native.evaluations == X.shape[0]
+        assert native.native_respecializations == 1  # served natively
+        assert native.respecializations == 0  # no per-row specialized fallback
         for i in range(X.shape[0]):
             assert _bits(float(values[i])) == _bits(specialized(X[i]))
 
@@ -448,7 +449,7 @@ class TestBackgroundCompile:
         # The batch path serves from the swapped-in kernel too.
         X = np.ascontiguousarray([[v] for v in _ADVERSARIAL], dtype=np.float64)
         values = native.evaluate_batch(X)
-        assert native.batch_respecializations == 0
+        assert native.respecializations == 1  # only the pre-swap scalar call
         for i in range(X.shape[0]):
             assert _bits(float(values[i])) == _bits(specialized(X[i]))
         clear_native_cache()
@@ -509,6 +510,102 @@ class TestBackgroundCompile:
         assert compile_kernel_background(source, digest) == so_path
         assert so_path.exists()
         _reset_background_for_tests()
+
+    def test_evaluate_batch_while_build_pending_matches_specialized(
+        self, tmp_path, monkeypatch
+    ):
+        """While the background ``cc`` runs, a batch is served row by row on
+        the specialized tier: same values, one evaluation per row."""
+        from repro.instrument.native import cache as cache_module
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))  # cold disk
+        clear_native_cache()
+        _reset_background_for_tests()
+        release = threading.Event()
+        real_compile = cache_module.compile_kernel
+
+        def held_compile(c_source, digest):
+            release.wait(60)
+            return real_compile(c_source, digest)
+
+        monkeypatch.setattr(cache_module, "compile_kernel", held_compile)
+        program = instrument(sp.nested_branches)
+        native = RepresentingFunction(
+            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_NATIVE
+        )
+        specialized = RepresentingFunction(
+            program,
+            SaturationTracker(program),
+            profile=ExecutionProfile.PENALTY_SPECIALIZED,
+        )
+        rng = np.random.default_rng(17)
+        X = _adversarial_rows(rng, sp.nested_branches, program.arity, n_random=6)
+        try:
+            values = native.evaluate_batch(X)
+            assert native._native_pending is not None  # still compiling
+            assert native.native_respecializations == 0
+            assert native.evaluations == X.shape[0]
+            for i in range(X.shape[0]):
+                assert _bits(float(values[i])) == _bits(specialized(X[i])), X[i]
+        finally:
+            release.set()
+            _reset_background_for_tests()
+            clear_native_cache()
+
+    def test_build_error_fails_its_digest_and_the_worker_survives(
+        self, tmp_path, monkeypatch
+    ):
+        """Any exception of one build (here a full disk) is recorded as that
+        digest's failure; the worker thread keeps draining the queue."""
+        from repro.instrument.native import cache as cache_module
+        from repro.instrument.native.cache import (
+            NativeCompiling,
+            compile_kernel_background,
+        )
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        _reset_background_for_tests()
+        broken, healthy = "0e" * 32, "0f" * 32
+        real_compile = cache_module.compile_kernel
+
+        def flaky_compile(c_source, digest):
+            if digest == broken:
+                raise OSError(28, "No space left on device")
+            return real_compile(c_source, digest)
+
+        monkeypatch.setattr(cache_module, "compile_kernel", flaky_compile)
+        for digest in (broken, healthy):
+            with pytest.raises(NativeCompiling):
+                compile_kernel_background(f"int sp_{digest[:2]}(void) {{ return 1; }}\n", digest)
+        wait_for_background(broken, timeout=30)
+        wait_for_background(healthy, timeout=30)
+        stats = background_compile_stats()
+        assert stats["pending"] == 0
+        assert stats["failed"] == 1 and stats["compiled"] == 1
+        with pytest.raises(NativeUnavailable, match="No space left"):
+            compile_kernel_background("", broken)
+        assert compile_kernel_background("", healthy) == tmp_path / f"{healthy}.so"
+        _reset_background_for_tests()
+
+
+class TestDiskCachePrune:
+    def test_prune_skips_temp_files_and_entries_that_vanish(self, tmp_path, monkeypatch):
+        """Another builder's in-flight ``.<digest>.XXXX.so`` is neither
+        counted nor deleted, and an entry removed between the listing and
+        its ``stat`` is skipped instead of raising."""
+        from repro.instrument.native.cache import _prune_disk_cache
+
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_MAX", "1")
+        for index, name in enumerate(("old.so", "new.so", ".inflight.abc123.so")):
+            path = tmp_path / name
+            path.write_bytes(b"")
+            os.utime(path, (index, index))
+        vanished = tmp_path / "vanished.so"
+        listing = sorted(tmp_path.glob("*.so")) + [vanished]
+        monkeypatch.setattr(type(tmp_path), "glob", lambda self, pattern: iter(listing))
+        assert _prune_disk_cache(tmp_path) == 1
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [".inflight.abc123.so", "new.so"]
 
 
 class TestCcProbeCache:
@@ -652,7 +749,10 @@ class TestEngineIdentity:
         specialized = self._run(
             factory, profile="penalty-specialized", n_workers=n_workers, mode=mode
         )
-        assert native == specialized, mode
+        # The native run primes each chunk with one kernel call; the
+        # specialized and generic runs evaluate every start's x0 on its own.
+        generic = self._run(factory, profile="penalty", n_workers=n_workers, mode=mode)
+        assert native == specialized == generic, mode
 
     def test_rows_mode_suite_entry_identical_across_pools(self):
         by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}

@@ -174,3 +174,66 @@ class TestBasinhoppingMemoization:
             counts[memoize] = objective.calls
         assert results[True] == results[False]
         assert counts[True] <= counts[False]
+
+
+class TestMemoBatchAPIs:
+    def _make(self, calls):
+        def func(x):
+            calls.append(tuple(np.atleast_1d(x)))
+            return float(np.sum(np.atleast_1d(x)) * 2.0)
+
+        return BitPatternMemo(func, arity=2, max_entries=8)
+
+    def test_get_many_put_many_roundtrip(self):
+        calls = []
+        memo = self._make(calls)
+        X = np.ascontiguousarray([[1.0, 2.0], [3.0, -0.0], [float("nan"), 1.0]])
+        values, missing = memo.get_many(X)
+        assert values == [None, None, None] and missing == [0, 1, 2]
+        memo.put_many(X, missing, [6.0, 6.0, 99.0])
+        values, missing = memo.get_many(X)
+        assert missing == [] and values == [6.0, 6.0, 99.0]
+        assert memo.hits == 3 and memo.misses == 3
+        # Row-bytes keys are interchangeable with the scalar struct.pack
+        # keys: a scalar call at a stored row is a hit, -0.0 stays distinct
+        # from 0.0 and NaN rows are cacheable.
+        assert memo([1.0, 2.0]) == 6.0
+        assert len(calls) == 0
+        memo([3.0, 0.0])
+        assert len(calls) == 1
+
+    def test_evaluate_batch_serves_hits_and_fills_misses(self):
+        calls = []
+        memo = self._make(calls)
+        X = np.ascontiguousarray([[1.0, 1.0], [2.0, 2.0]])
+        first = memo.evaluate_batch(X)
+        assert first == [4.0, 8.0] and len(calls) == 2
+        X2 = np.ascontiguousarray([[1.0, 1.0], [5.0, 0.0]])
+        second = memo.evaluate_batch(X2)
+        assert second == [4.0, 10.0]
+        assert len(calls) == 3  # only the new row executed
+
+    def test_evaluate_batch_prefers_wrapped_batch_path(self):
+        class Obj:
+            def __init__(self):
+                self.batched = 0
+
+            def __call__(self, x):
+                raise AssertionError("scalar path must not run")
+
+            def evaluate_batch(self, X):
+                self.batched += 1
+                return [float(v[0]) for v in X]
+
+        obj = Obj()
+        memo = BitPatternMemo(obj, arity=1)
+        out = memo.evaluate_batch(np.ascontiguousarray([[1.5], [2.5]]))
+        assert out == [1.5, 2.5] and obj.batched == 1
+
+    def test_seed_plants_value_without_counting(self):
+        calls = []
+        memo = self._make(calls)
+        memo.seed([1.0, 2.0], 42.0)
+        assert memo.hits == 0 and memo.misses == 0
+        assert memo([1.0, 2.0]) == 42.0
+        assert memo.hits == 1 and len(calls) == 0

@@ -35,6 +35,7 @@ from repro.service import (
     ServiceClosed,
     ShardRouter,
 )
+from repro.service.jobs import build_job_key, derive_budget
 from repro.store import RunStore, canonical_json
 
 #: Deterministic profile (no wall-clock budgets): every stored field except
@@ -357,6 +358,35 @@ class TestLifecycle:
         with CoverageService(worker_mode="inline") as service:
             with pytest.raises(ValueError, match="unknown tool"):
                 service.submit(JobRequest(case=CASE, tool="NoSuchTool", profile=DET))
+
+
+class TestThreadWorkerIsolation:
+    def test_concurrent_jobs_of_one_case_match_solo_runs(self, tmp_path):
+        """Two CoverMe jobs of one case running at once on different worker
+        threads each produce exactly what they produce alone."""
+        case = next(c for c in BENCHMARKS if "hypot" in c.function)
+        router = ShardRouter(2)
+        by_shard = {}
+        for seed in range(64):
+            profile = dataclasses.replace(DET, name="iso", n_start=12, n_iter=5, seed=seed)
+            request = JobRequest(case=case, tool="CoverMe", profile=profile)
+            shard = router.shard_of(build_job_key(request, derive_budget(request)).fingerprint())
+            by_shard.setdefault(shard, request)
+            if len(by_shard) == 2:
+                break
+        requests = [by_shard[0], by_shard[1]]  # one per worker thread
+
+        def result(outcome):
+            summary = dict(outcome.payload["summary"], wall_time=None)
+            return canonical_json(summary), outcome.evaluations
+
+        with CoverageService(worker_mode="inline") as service:
+            alone = [result(service.run(request)) for request in requests]
+        with CoverageService(worker_mode="thread", n_workers=2, n_shards=2) as service:
+            jobs = [service.submit(request) for request in requests]
+            together = [result(service.wait(job, timeout=300)) for job in jobs]
+            assert {job.shard for job in jobs} == {0, 1}
+        assert together == alone
 
 
 class TestWarningSurfacing:
