@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--eval-profile", choices=sorted(EXECUTION_PROFILES), default=None,
             help="override the optimizer inner-loop execution profile "
-            "(e.g. penalty-specialized for the compiled tier)",
+            "(default penalty-specialized)",
         )
         p.add_argument(
             "--proposal-population", type=int, default=None, metavar="K",
@@ -514,26 +514,6 @@ def _native_cache(args) -> int:
             f"{'yes' if entry['has_source'] else 'no'}"
         )
     return 0
-
-
-def deprecated_main(spec_name: str, argv: Optional[list[str]] = None) -> int:
-    """Shared shim behind the legacy ``python -m repro.experiments.<spec>``
-    entry points: warn, then delegate to ``repro run <spec>``.  Without an
-    explicit ``--store`` the run is in-memory (the historical one-shot
-    semantics); passing ``--store`` opts into persistence as the warning
-    suggests."""
-    import warnings
-
-    warnings.warn(
-        f"`python -m repro.experiments.{spec_name}` is deprecated; use "
-        f"`python -m repro run {spec_name}` (add --store for resumable runs)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not any(arg == "--store" or arg.startswith("--store=") for arg in argv):
-        argv = ["--ephemeral", *argv]
-    return main(["run", spec_name, *argv])
 
 
 def main(argv: Optional[list[str]] = None) -> int:

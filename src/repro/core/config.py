@@ -66,16 +66,14 @@ class CoverMeConfig:
             lowering is emitted as C, compiled with the system ``cc`` and
             called through ctypes; degrades to ``penalty-specialized`` with
             a one-time warning when no compiler is present),
-            ``"penalty-specialized"`` (the compile-time tier: the saturation
-            mask is baked into re-generated instrumented source, re-compiled
-            only when saturation flips a bit), ``"penalty"`` (allocation-free
-            fast runtime, the default), ``"coverage"`` or ``"full-trace"``
-            (the recording runtime).  All profiles compute bit-identical
-            representing-function values and produce identical seeded
-            results; richer profiles only retain more per-execution data
-            (and run slower).  Accepted minima are always re-executed under
-            at least the coverage profile, so the reduction sees the same
-            branch sets regardless of this setting.
+            ``"penalty-specialized"`` (the default compile-time tier: the
+            saturation mask is baked into re-generated instrumented source,
+            re-compiled only when saturation flips a bit) or ``"full-trace"``
+            (the recording runtime on every call).  All profiles compute
+            bit-identical representing-function values and produce identical
+            seeded results.  Accepted minima are always replayed on the
+            recording runtime, so the reduction sees the same branch sets
+            regardless of this setting.
         memoize: Serve repeated objective evaluations at bit-identical
             inputs from a per-start memo cache instead of re-executing the
             program.  Values and seeded trajectories are unchanged; only the
@@ -129,7 +127,7 @@ class CoverMeConfig:
     worker_mode: str = "auto"
     start_strategy: str = "random-normal"
     batch_size: Optional[int] = None
-    eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
+    eval_profile: str = ExecutionProfile.PENALTY_SPECIALIZED.value
     memoize: bool = True
     proposal_population: int = 1
     native_threads: int = 1

@@ -12,8 +12,8 @@ three steps of the approach:
    minimum point as a test input and applying the infeasible-branch
    heuristic of Sect. 5.3 when a minimization bottoms out above zero.
    The inner loop's execution tier is ``CoverMeConfig.eval_profile``; with
-   ``"penalty-specialized"`` the saturation mask is compiled into the
-   instrumented source per batch epoch (:mod:`repro.instrument.specialize`)
+   the default ``"penalty-specialized"`` the saturation mask is compiled into
+   the instrumented source per batch epoch (:mod:`repro.instrument.specialize`)
    while results stay bit-identical to every other profile.
 
 The optimization backend is resolved by name through the registry of

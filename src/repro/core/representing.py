@@ -13,33 +13,32 @@ The object is a plain callable ``R^n -> R`` so that any unconstrained
 programming backend can minimize it as a black box.
 
 Evaluation runs under a configurable
-:class:`~repro.instrument.runtime.ExecutionProfile`.  ``FULL_TRACE`` (the
-default) keeps today's recording behavior: every call leaves a complete
-:class:`ExecutionRecord` in :attr:`RepresentingFunction.last_record`.  The
-``PENALTY_ONLY`` and ``COVERAGE`` profiles run on the allocation-free
-:class:`~repro.instrument.runtime.FastRuntime` -- the optimizer inner loop
-only consumes the scalar ``r``, so per-conditional trace objects are pure
-overhead there.  ``PENALTY_SPECIALIZED`` goes one tier further: the program
-is re-compiled with the saturation mask resolved per probe site
-(:mod:`repro.instrument.specialize`), and this wrapper implements the *epoch
-protocol* -- the compiled variant is reused verbatim while the tracker's
-``saturated_mask`` is unchanged and transparently re-specialized (a cached
-lookup when the mask was seen before) only when saturation actually flips a
-bit.  ``PENALTY_NATIVE`` applies the same protocol to machine code: the
-specialized lowering is compiled to a shared object
-(:mod:`repro.instrument.native`) and both ``__call__`` and
-``evaluate_batch`` dispatch to it, degrading to ``PENALTY_SPECIALIZED``
-with a one-time per-instance warning when no C compiler is present or the
-program cannot be emitted.  Cold compiles do not block: the build runs on
-the background worker while calls are served by the specialized tier (no
-warning — that state is transient, counted in ``native_pending_calls``)
-and the kernel swaps in at the next call/batch boundary once the build
-lands.  All profiles compute bit-identical values;
-callers that need coverage
-from a specific point (e.g. an accepted minimum) re-execute it via
-:meth:`RepresentingFunction.evaluate_with_coverage`, which under the
-specialized tier runs the generic fast runtime so the coverage outcome stays
-complete and identical across profiles.
+:class:`~repro.instrument.runtime.ExecutionProfile`.  ``PENALTY_SPECIALIZED``
+(the default of :class:`~repro.core.config.CoverMeConfig`) re-compiles the
+program with the saturation mask resolved per probe site
+(:mod:`repro.instrument.specialize`), the paper's ``pen`` code
+transformation, and this wrapper implements the *epoch protocol* -- the
+compiled variant is reused verbatim while the tracker's ``saturated_mask`` is
+unchanged and transparently re-specialized (a cached lookup when the mask was
+seen before) only when saturation actually flips a bit.  ``PENALTY_NATIVE``
+applies the same protocol to machine code: the specialized lowering is
+compiled to a shared object (:mod:`repro.instrument.native`) and both
+``__call__`` and ``evaluate_batch`` dispatch to it, degrading to
+``PENALTY_SPECIALIZED`` with a one-time per-instance warning when no C
+compiler is present or the program cannot be emitted.  Cold compiles do not
+block: the build runs on the background worker while calls are served by the
+specialized tier (no warning — that state is transient, counted in
+``native_pending_calls``) and the kernel swaps in at the next call/batch
+boundary once the build lands.  ``FULL_TRACE`` runs the recording runtime on
+every call and leaves a complete :class:`ExecutionRecord` in
+:attr:`RepresentingFunction.last_record`.
+
+All profiles compute bit-identical values.  Callers that need coverage from
+a specific point (e.g. an accepted minimum) replay it via
+:meth:`RepresentingFunction.evaluate_with_coverage`, which under every
+profile runs the recording runtime with CoverMe's penalty -- the reference
+semantics -- so the coverage outcome is complete and identical across
+profiles.
 """
 
 from __future__ import annotations
@@ -63,15 +62,11 @@ from repro.instrument.runtime import (
     CoverageOutcome,
     ExecutionProfile,
     ExecutionRecord,
-    FastRuntime,
     Runtime,
 )
 
 #: Large finite stand-in for non-finite register values; see __call__.
 _CLAMP = 1.0e300
-
-#: Exceptions the program under test may raise that must not escape FOO_R.
-_SWALLOWED = (ArithmeticError, ValueError, OverflowError)
 
 _INF = math.inf
 _F64 = np.dtype(np.float64)
@@ -127,18 +122,10 @@ class RepresentingFunction:
         self._warned: set[str] = set()
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
-        self._specialized = self.profile in (
-            ExecutionProfile.PENALTY_SPECIALIZED,
-            ExecutionProfile.PENALTY_NATIVE,
-        )
-        if self.profile is ExecutionProfile.FULL_TRACE:
-            self._fast: Optional[FastRuntime] = None
-            self._runtime = Runtime(policy=CoverMePenalty(self.tracker, epsilon), epsilon=epsilon)
-        else:
-            # The specialized tier keeps a fast runtime too: it backs
-            # evaluate_with_coverage(), whose outcome must stay complete.
-            self._fast = FastRuntime(program.n_conditionals, epsilon=epsilon)
-            self._runtime = None
+        self._full_trace = self.profile is ExecutionProfile.FULL_TRACE
+        # The recording runtime serves every FULL_TRACE call and, under the
+        # compiled tiers, the coverage harvest of accepted minima.
+        self._runtime = Runtime(policy=CoverMePenalty(self.tracker, epsilon), epsilon=epsilon)
 
     @property
     def arity(self) -> int:
@@ -146,36 +133,30 @@ class RepresentingFunction:
 
     def __call__(self, x) -> float:
         """Evaluate ``FOO_R`` at ``x`` (a scalar or a length-``arity`` vector)."""
+        if self._full_trace:
+            return self.evaluate_with_record(x)[0]
         args = self._coerce(x)
         self.evaluations += 1
-        if self._specialized:
-            # Specialized tier: re-read the mask every call (like the fast
-            # profiles resynchronize at begin()), but only touch the compiler
-            # when saturation actually flipped a bit.  Mid-epoch calls are a
-            # single int comparison away from the compiled variant (or the
-            # loaded machine-code kernel under the native tier).
-            mask = self.tracker.saturated_mask
-            r = None
-            if self._native and self._native_ok:
-                kernel = self._native_kernel
-                if kernel is None or kernel.saturated_mask != mask:
-                    kernel = self._native_kernel_for(mask)
-                if kernel is not None:
-                    r, _cov = kernel.scalar(args)
-            if r is None:
-                variant = self._variant
-                if variant is None or variant.saturated_mask != mask:
-                    variant = self.program.specialize(mask, self.epsilon)
-                    self._variant = variant
-                    self.respecializations += 1
-                _, r = variant.run(args)
-            self.last_record = None
-        elif self._fast is not None:
-            r = self._run_fast(args)
-            self.last_record = None
-        else:
-            _, r, record = self.program.run(args, runtime=self._runtime)
-            self.last_record = record
+        # Re-read the mask every call, but only touch the compiler when
+        # saturation actually flipped a bit.  Mid-epoch calls are a single
+        # int comparison away from the compiled variant (or the loaded
+        # machine-code kernel under the native tier).
+        mask = self.tracker.saturated_mask
+        r = None
+        if self._native and self._native_ok:
+            kernel = self._native_kernel
+            if kernel is None or kernel.saturated_mask != mask:
+                kernel = self._native_kernel_for(mask)
+            if kernel is not None:
+                r, _cov = kernel.scalar(args)
+        if r is None:
+            variant = self._variant
+            if variant is None or variant.saturated_mask != mask:
+                variant = self.program.specialize(mask, self.epsilon)
+                self._variant = variant
+                self.respecializations += 1
+            _, r = variant.run(args)
+        self.last_record = None
         if r != r or r == _INF or r == -_INF:
             # NaN carries no gradient, and +/-inf (e.g. summed overflow-guard
             # distances of an ``and`` test) would poison any optimizer that
@@ -239,58 +220,38 @@ class RepresentingFunction:
         return out
 
     def evaluate_with_record(self, x) -> tuple[float, ExecutionRecord]:
-        """Evaluate and also return the full execution record.
+        """Evaluate on the recording runtime and return the full record.
 
-        Always runs under ``FULL_TRACE`` semantics regardless of the
-        configured profile, so trace consumers keep working; prefer
-        :meth:`evaluate_with_coverage` when the path is not needed.
+        Runs the reference semantics (the recording runtime with CoverMe's
+        penalty) regardless of the configured profile, so trace consumers
+        keep working; ``FULL_TRACE`` calls are exactly this.
         """
-        if self._fast is None:
-            value = self(x)
-            assert self.last_record is not None
-            return value, self.last_record
         args = self._coerce(x)
         self.evaluations += 1
-        runtime = Runtime(policy=CoverMePenalty(self.tracker, self.epsilon), epsilon=self.epsilon)
-        _, r, record = self.program.run(args, runtime=runtime)
+        _, r, record = self.program.run(args, runtime=self._runtime)
         if not math.isfinite(r):
-            r = _CLAMP
+            r = _CLAMP  # the same clamp as __call__
         self.last_record = record
         self.last_value = r
         return r, record
 
     def evaluate_with_coverage(self, x) -> tuple[float, CoverageOutcome]:
-        """Evaluate and return the coverage-profile outcome.
+        """Evaluate and return the covered branches and last conditional.
 
-        This is what the engine calls on an accepted minimum: the covered
-        branches plus the last executed conditional (for the
-        infeasible-branch heuristic), without materializing the path.  Under
-        ``FULL_TRACE`` the same data is distilled from the record so every
-        profile returns identical outcomes.
+        This is what the engine calls on an accepted minimum: one replay on
+        the recording runtime (see :meth:`evaluate_with_record`), distilled
+        to the covered branches plus the last executed conditional for the
+        infeasible-branch heuristic.  The compiled tiers' covered bitsets
+        are partial and track no last conditional, so every profile
+        harvests this way and returns identical outcomes.
         """
-        if self._fast is None:
-            value, record = self.evaluate_with_record(x)
-            last = record.last
-            return value, CoverageOutcome(
-                covered=frozenset(record.covered),
-                last_conditional=None if last is None else last.conditional,
-                last_outcome=None if last is None else last.outcome,
-            )
-        if self._specialized:
-            # The specialized variant's covered bitset is partial (stripped
-            # probes record nothing) and it tracks no last conditional, so
-            # coverage harvesting runs the generic fast runtime against the
-            # same mask -- values stay bit-identical, outcomes complete.
-            args = self._coerce(x)
-            self.evaluations += 1
-            r = self._run_fast(args)
-            if r != r or r == _INF or r == -_INF:
-                r = _CLAMP
-            self.last_record = None
-            self.last_value = r
-            return r, self._fast.snapshot()
-        value = self(x)
-        return value, self._fast.snapshot()
+        value, record = self.evaluate_with_record(x)
+        last = record.last
+        return value, CoverageOutcome(
+            covered=frozenset(record.covered),
+            last_conditional=None if last is None else last.conditional,
+            last_outcome=None if last is None else last.outcome,
+        )
 
     # -- helpers -------------------------------------------------------------------
 
@@ -339,25 +300,6 @@ class RepresentingFunction:
             return
         self._warned.add(key)
         warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-    def _run_fast(self, args) -> float:
-        """One generic fast-runtime execution against the current mask.
-
-        install + begin resynchronize the saturation snapshot from the
-        (possibly updated) tracker, then the program body runs with zero
-        per-conditional allocations.  Shared by the penalty/coverage call
-        path and the specialized tier's coverage harvest so the bit-sensitive
-        execution body exists exactly once.
-        """
-        fast = self._fast
-        program = self.program
-        program.handle.install(fast)
-        fast.begin(self.tracker.saturated_mask)
-        try:
-            program.entry(*args)
-        except _SWALLOWED:
-            pass
-        return fast.r
 
     def _coerce(self, x) -> Sequence[float]:
         if x.__class__ is np.ndarray:

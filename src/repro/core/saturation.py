@@ -57,10 +57,11 @@ class SaturationTracker:
     def add_covered_mask(self, mask: int) -> set[BranchId]:
         """Mark the branches of a flat bitmask as covered.
 
-        Convenience for mask-based consumers, e.g. feeding back the bitset a
-        ``PENALTY_ONLY`` :meth:`~repro.instrument.program.InstrumentedProgram.run_profiled`
-        call returned.  The engine's reduction itself folds ``BranchId`` sets
-        from :class:`~repro.instrument.runtime.CoverageOutcome` via
+        Convenience for mask-based consumers, e.g. feeding back the newly
+        covered bits of a native batch
+        (``RepresentingFunction.last_new_covered_mask``).  The engine's
+        reduction itself folds ``BranchId`` sets from
+        :class:`~repro.instrument.runtime.CoverageOutcome` via
         :meth:`add_covered`.
         """
         return self.add_covered(set(branches_from_mask(mask)))
@@ -82,9 +83,10 @@ class SaturationTracker:
     def saturated_mask(self) -> int:
         """``Saturate`` as a flat bitmask, maintained incrementally.
 
-        This is what the allocation-free runtime's inlined penalty consumes
-        (:class:`~repro.instrument.runtime.FastRuntime`); it is recomputed
-        only when the tracker's state changes, never per evaluation.
+        This is what the compiled tiers specialize against
+        (:mod:`repro.instrument.specialize`, :mod:`repro.instrument.native`);
+        it is recomputed only when the tracker's state changes, never per
+        evaluation.
         """
         return self._saturated_mask
 

@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from repro.instrument.runtime import PROGRAM_ERRORS
+
 
 def executable_lines(func: Callable) -> frozenset[int]:
     """The set of traceable source line numbers of ``func``."""
@@ -48,7 +50,7 @@ class LineCoverage:
         sys.settrace(tracer)
         try:
             self.func(*args)
-        except (ArithmeticError, ValueError, OverflowError):
+        except PROGRAM_ERRORS:
             pass
         finally:
             sys.settrace(previous)

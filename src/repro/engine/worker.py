@@ -4,14 +4,14 @@ A *start* is one basin-hopping launch of Algorithm 1's loop body (lines
 9-13): minimize the representing function from one starting point against a
 frozen snapshot of the saturation state, then evaluate the found minimum once
 more to obtain its coverage outcome.  The minimization loop runs under the
-cheapest sufficient execution profile (``PENALTY_ONLY`` by default -- the
+configured execution profile (``PENALTY_SPECIALIZED`` by default -- the
 optimizer only reads the scalar objective) with an optional bit-pattern memo
-cache in front of the objective; the final evaluation always retains at
-least ``COVERAGE`` so the reduction sees the covered branches and the
-infeasible heuristic's last conditional.  Starts within a batch share the
-same snapshot, which makes them independent of one another -- the property
-that lets the engine run them on any number of workers and still merge the
-results deterministically.
+cache in front of the objective; the final evaluation replays the minimum on
+the recording runtime so the reduction sees the complete covered branches
+and the infeasible heuristic's last conditional.  Starts within a batch
+share the same snapshot, which makes them independent of one another -- the
+property that lets the engine run them on any number of workers and still
+merge the results deterministically.
 
 Under the ``PENALTY_SPECIALIZED`` profile the epoch protocol composes with
 this structure for free: the per-start tracker snapshot freezes the
@@ -67,7 +67,7 @@ class StartParams:
     epsilon: float
     root_seed: int
     deadline: Optional[float] = None
-    eval_profile: str = ExecutionProfile.PENALTY_ONLY.value
+    eval_profile: str = ExecutionProfile.PENALTY_SPECIALIZED.value
     memoize: bool = True
     proposal_population: int = 1
     native_threads: int = 1
@@ -157,11 +157,11 @@ def run_start(
     tracker = SaturationTracker(
         program, covered=set(task.covered), infeasible=set(task.infeasible)
     )
-    # The optimizer inner loop requests the cheapest sufficient profile: it
-    # only consumes the scalar objective, so the configured profile (default
-    # PENALTY_ONLY) drives the loop, and the accepted minimum is re-executed
-    # below with at least COVERAGE to harvest branches.  All profiles compute
-    # bit-identical values, so this choice never changes seeded results.
+    # The optimizer inner loop only consumes the scalar objective, so the
+    # configured profile (default PENALTY_SPECIALIZED) drives the loop, and
+    # the accepted minimum is replayed below on the recording runtime to
+    # harvest branches.  All profiles compute bit-identical values, so this
+    # choice never changes seeded results.
     representing = RepresentingFunction(
         program, tracker, epsilon=params.epsilon, profile=params.eval_profile,
         native_threads=params.native_threads,

@@ -22,6 +22,7 @@ from repro.core.coverme import CoverMe
 from repro.core.report import ToolRunSummary
 from repro.fdlibm.suite import BenchmarkCase
 from repro.instrument.program import InstrumentedProgram, instrument
+from repro.instrument.runtime import EXECUTION_PROFILES, ExecutionProfile
 from repro.instrument.signature import ProgramSignature
 
 
@@ -44,9 +45,16 @@ class Profile:
     seed: int = 0
     n_workers: int = 1
     start_strategy: str = "random-normal"
-    eval_profile: str = "penalty"
+    eval_profile: str = ExecutionProfile.PENALTY_SPECIALIZED.value
     proposal_population: int = 1
     native_threads: int = 1
+
+    def __post_init__(self) -> None:
+        # Checked here as well as in CoverMeConfig so a bad override (CLI,
+        # HTTP) is refused when the profile is built, not when a job runs.
+        if self.eval_profile not in EXECUTION_PROFILES:
+            known = ", ".join(EXECUTION_PROFILES)
+            raise ValueError(f"unknown eval profile {self.eval_profile!r}; known: {known}")
 
     def coverme_config(self) -> CoverMeConfig:
         return CoverMeConfig(

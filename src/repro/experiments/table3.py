@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.pipeline import (
     TOOL_FACTORIES,
     ExperimentSpec,
@@ -73,14 +71,3 @@ SPEC = register_spec(
         render=render,
     )
 )
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated entry point; delegates to ``python -m repro run table3``."""
-    from repro.cli import deprecated_main
-
-    return deprecated_main("table3", argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

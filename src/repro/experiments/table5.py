@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.pipeline import ExperimentSpec, register_spec
 from repro.experiments.runner import ComparisonRow, Profile, mean
 from repro.experiments.table2 import run as run_table2
@@ -59,14 +57,3 @@ SPEC = register_spec(
         render=render,
     )
 )
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    """Deprecated entry point; delegates to ``python -m repro run table5``."""
-    from repro.cli import deprecated_main
-
-    return deprecated_main("table5", argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

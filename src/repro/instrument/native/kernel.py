@@ -40,9 +40,6 @@ _C_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
 _C_U64_P = ctypes.POINTER(ctypes.c_uint64)
 _C_U8_P = ctypes.POINTER(ctypes.c_ubyte)
 
-#: Exceptions the scalar tiers swallow (the bail re-run must too).
-_SWALLOWED = (ArithmeticError, ValueError, OverflowError)
-
 
 class _LoadedKernel:
     """One compiled-and-loaded shared object (immutable, thread-shareable)."""

@@ -37,11 +37,9 @@ from repro.instrument.ast_pass import (
 )
 from repro.instrument.cfg import DescendantAnalysis
 from repro.instrument.runtime import (
+    PROGRAM_ERRORS,
     BranchId,
-    CoverageOutcome,
-    ExecutionProfile,
     ExecutionRecord,
-    FastRuntime,
     Runtime,
     RuntimeHandle,
 )
@@ -205,8 +203,8 @@ class SpecializedVariant:
     def run(self, args: Sequence[float]) -> tuple[object, float]:
         """Execute once, returning ``(return_value, r)``.
 
-        Exceptions the generic runtimes swallow are swallowed here too, so the
-        representing function stays total under this tier as well.
+        Exceptions the recording runtime swallows are swallowed here too, so
+        the representing function stays total under this tier as well.
         """
         namespace = self.namespace
         namespace[R_NAME] = 1.0
@@ -214,7 +212,7 @@ class SpecializedVariant:
         value: object = None
         try:
             value = self.entry(*args)
-        except (ArithmeticError, ValueError, OverflowError):
+        except PROGRAM_ERRORS:
             value = None
         return value, namespace[R_NAME]
 
@@ -314,9 +312,6 @@ class InstrumentedProgram:
         program under test (domain errors, overflow raised as Python
         exceptions) are swallowed: the execution record up to the fault is
         still meaningful and the representing function must stay total.
-
-        This is the recording entry point; profile-aware callers use
-        :meth:`run_profiled`.
         """
         runtime = runtime if runtime is not None else Runtime()
         self.handle.install(runtime)
@@ -324,63 +319,10 @@ class InstrumentedProgram:
         value: object = None
         try:
             value = self.entry(*args)
-        except (ArithmeticError, ValueError, OverflowError):
+        except PROGRAM_ERRORS:
             value = None
         r, record = runtime.end()
         return value, r, record
-
-    def run_profiled(
-        self,
-        args: Sequence[float],
-        profile: ExecutionProfile = ExecutionProfile.FULL_TRACE,
-        runtime: Optional["Runtime | FastRuntime"] = None,
-        saturated_mask: Optional[int] = None,
-    ) -> tuple[object, float, "ExecutionRecord | CoverageOutcome | int"]:
-        """Execute on ``args`` under an explicit execution profile.
-
-        Returns ``(return_value, r, outcome)`` where ``outcome`` is the full
-        :class:`ExecutionRecord` under ``FULL_TRACE``, a
-        :class:`CoverageOutcome` under ``COVERAGE``, and just the flat
-        covered-branch bitmask (an ``int``) under ``PENALTY_ONLY`` -- that
-        profile's contract is "``r`` plus a bitset", so no per-call branch
-        objects are materialized.  ``saturated_mask`` feeds the fast
-        runtime's inlined penalty; when omitted, a reused runtime keeps the
-        mask it was configured with (ignored under ``FULL_TRACE``, where the
-        caller installs a policy on the runtime).
-        """
-        profile = ExecutionProfile(profile)
-        if profile is ExecutionProfile.FULL_TRACE:
-            return self.run(args, runtime=runtime)  # type: ignore[arg-type]
-        if profile is ExecutionProfile.PENALTY_NATIVE:
-            if saturated_mask is None:
-                saturated_mask = getattr(runtime, "saturated_mask", 0)
-            return self.run_native(
-                args,
-                saturated_mask,
-                epsilon=getattr(runtime, "epsilon", DEFAULT_EPSILON),
-            )
-        if profile is ExecutionProfile.PENALTY_SPECIALIZED:
-            if saturated_mask is None:
-                saturated_mask = getattr(runtime, "saturated_mask", 0)
-            return self.run_specialized(
-                args,
-                saturated_mask,
-                # A passed (fast) runtime configures the tier -- its epsilon
-                # is baked into the specialized code, keeping r bit-identical
-                # to what that runtime would compute.
-                epsilon=getattr(runtime, "epsilon", DEFAULT_EPSILON),
-            )
-        fast = runtime if runtime is not None else FastRuntime(self.n_conditionals)
-        self.handle.install(fast)
-        fast.begin(saturated_mask)
-        value: object = None
-        try:
-            value = self.entry(*args)
-        except (ArithmeticError, ValueError, OverflowError):
-            value = None
-        if profile is ExecutionProfile.PENALTY_ONLY:
-            return value, fast.r, fast.covered_mask()
-        return value, fast.r, fast.snapshot()
 
     def specialize(
         self, saturated_mask: int, epsilon: float = DEFAULT_EPSILON
@@ -472,8 +414,8 @@ class InstrumentedProgram:
         Returns ``(return_value, r, covered_mask)`` where ``covered_mask`` is
         *partial*: conditionals that were both-saturated in ``saturated_mask``
         had their probes stripped and record no bits.  ``r`` is bit-identical
-        to what :class:`~repro.instrument.runtime.FastRuntime` computes for
-        the same mask.
+        to what the recording :class:`~repro.instrument.runtime.Runtime`
+        computes with CoverMe's penalty against the same mask.
         """
         variant = self.specialize(saturated_mask, epsilon)
         value, r = variant.run(args)

@@ -41,46 +41,36 @@ by :meth:`Runtime.resolve`.  Tokens are small ints:
   is dual.  Children without a usable distance contribute nothing, which
   matches the information available after short-circuiting.
 
-Both runtimes execute the same token semantics with identical arithmetic
-ordering, so composed distances (and therefore ``r``) stay bit-identical
-across execution profiles.  :class:`FastRuntime` composes on preallocated
-stacks with stamp-validated leaf slots, keeping the optimizer's penalty
-fast path allocation-free.
+The Def. 4.2 composition is encoded three times: :func:`_compose_program`
+here, the unrolled statements of :mod:`repro.instrument.specialize` and the
+C emitter of :mod:`repro.instrument.native`.  All three fold with identical
+arithmetic ordering (left-to-right sums, first-wins minima), so composed
+distances -- and therefore ``r`` -- stay bit-identical across execution
+profiles.
 
 Execution profiles
 ------------------
 
-Minimizing the representing function issues millions of executions, so the
-runtime comes in two implementations selected through
-:class:`ExecutionProfile`:
+Minimizing the representing function issues millions of executions, so
+:class:`ExecutionProfile` selects how the optimizer inner loop evaluates it:
 
+* ``PENALTY_NATIVE`` and ``PENALTY_SPECIALIZED`` -- the compiled tiers: the
+  program is re-generated with ``pen`` resolved per probe site against the
+  current saturation mask (as C or as Python), the paper's code
+  transformation of Sect. 3.2.  They return ``r`` plus a partial covered
+  bitset and keep no path.
 * ``FULL_TRACE`` -- the recording :class:`Runtime`: every conditional
   evaluation is appended to an :class:`ExecutionRecord` as a
   :class:`ConditionalOutcome`, and the penalty is delegated to a pluggable
   :class:`PenaltyPolicy`.  This is the only profile that preserves the
-  *path*, so it is required by anything that inspects per-conditional
-  distances or the order of conditionals (trace-based tooling, debugging,
-  the line-coverage substrate's record consumers).
-* ``COVERAGE`` -- the allocation-free :class:`FastRuntime`: only the final
-  ``r``, a flat covered-branch bitset and the last executed conditional are
-  retained.  Sound whenever the consumer needs coverage and the infeasible
-  heuristic's last-conditional datum but not the path: this is everything
-  Algorithm 1's reduction consumes from an accepted minimum.
-* ``PENALTY_ONLY`` -- the same :class:`FastRuntime`, but the caller promises
-  to read only ``r`` (the covered bitset is still maintained -- it is two
-  machine operations per conditional -- but nothing per-execution is
-  snapshotted).  Sound for the optimizer inner loop, where the scalar
-  objective is the only output; any accepted minimum must be re-executed
-  under at least ``COVERAGE`` to harvest its branches.
+  *path*.
 
-Both implementations compute bit-identical ``r`` values for the CoverMe
-penalty (Def. 4.2): :class:`FastRuntime` inlines that exact policy against a
-saturated-branch bitmask instead of calling through a policy object, and it
-uses the same :func:`~repro.core.branch_distance.branch_distance` arithmetic.
-The recording runtime stays policy-agnostic: with ``policy=None`` it only
-records coverage (this is how the baseline tools and the Gcov substrate use
-it); with CoverMe's penalty policy installed it computes the representing
-function.
+The recording runtime is the reference semantics every tier is tested
+against, and it is also how coverage is harvested: an accepted minimum is
+replayed once on it (with CoverMe's penalty installed) to obtain the
+complete covered set and the last executed conditional.  It stays
+policy-agnostic: with ``policy=None`` it only records coverage (this is how
+the baseline tools and the Gcov substrate use it).
 """
 
 from __future__ import annotations
@@ -99,6 +89,11 @@ _COMPARISON_OPS = {"==", "!=", "<", "<=", ">", ">="}
 #: (:mod:`repro.instrument.specialize`) so the baked-in constants stay
 #: bit-identical with the runtime-dispatched ones.
 BIG_DISTANCE = 1.0e300
+
+#: Exceptions the program under test may raise (domain errors, overflow
+#: surfacing as Python exceptions).  Every tier swallows them so the
+#: representing function stays total and the record up to the fault counts.
+PROGRAM_ERRORS = (ArithmeticError, ValueError, OverflowError)
 
 #: Composition-program token: logical NOT (swap the distance pair on top).
 TREE_NOT = -1
@@ -121,17 +116,16 @@ def tree_or(arity: int) -> int:
 class ExecutionProfile(str, enum.Enum):
     """How much information one execution of an instrumented program retains.
 
-    Ordered from cheapest to most expensive; see the module docstring for
-    when each profile is sound.
+    Ordered from cheapest to most expensive; see the module docstring.
 
     ``PENALTY_SPECIALIZED`` is the compile-time tier: the saturation mask is
     resolved per probe site by :mod:`repro.instrument.specialize` and the
     program re-compiled, so mid-epoch evaluations pay no per-conditional
-    runtime dispatch at all.  Its contract is the same as ``PENALTY_ONLY``
-    minus the covered bitset completeness: both-saturated conditionals have
-    their probes stripped entirely, so only unsaturated conditionals record
-    covered bits (sound for the optimizer inner loop; accepted minima are
-    re-executed under ``COVERAGE`` to harvest branches).
+    runtime dispatch at all.  It computes ``r`` and a *partial* covered
+    bitset: both-saturated conditionals have their probes stripped entirely,
+    so only unsaturated conditionals record covered bits (sound for the
+    optimizer inner loop; accepted minima are replayed on the recording
+    :class:`Runtime` to harvest branches).
 
     ``PENALTY_NATIVE`` goes below that: the specialized lowering is emitted
     as C (:mod:`repro.instrument.native`), compiled with the system ``cc``
@@ -143,8 +137,6 @@ class ExecutionProfile(str, enum.Enum):
 
     PENALTY_NATIVE = "penalty-native"
     PENALTY_SPECIALIZED = "penalty-specialized"
-    PENALTY_ONLY = "penalty"
-    COVERAGE = "coverage"
     FULL_TRACE = "full-trace"
 
 
@@ -238,11 +230,10 @@ class ExecutionRecord:
 
 @dataclass(frozen=True)
 class CoverageOutcome:
-    """What one :data:`~ExecutionProfile.COVERAGE` execution retains.
+    """What the engine's reduction consumes from an accepted minimum.
 
-    A single small object built once per execution (never per conditional):
-    the covered-branch set plus the last executed conditional, which is all
-    the engine's reduction consumes from an accepted minimum.
+    The covered-branch set plus the last executed conditional (for the
+    infeasible-branch heuristic), distilled from one recorded execution.
     """
 
     covered: frozenset[BranchId]
@@ -283,7 +274,6 @@ class Runtime:
         self.epsilon = epsilon
         self._r = 1.0
         self._record: ExecutionRecord = ExecutionRecord()
-        self._pending: dict[int, list[tuple[Optional[float], Optional[float]]]] = {}
         self._leaves: dict[int, dict[int, tuple[Optional[float], Optional[float]]]] = {}
         self.total_evaluations = 0
 
@@ -293,7 +283,6 @@ class Runtime:
         """Start one execution: reset ``r`` to 1 (Step 2 of the algorithm)."""
         self._r = 1.0
         self._record = ExecutionRecord()
-        self._pending = {}
         self._leaves = {}
         self.total_evaluations += 1
 
@@ -315,8 +304,8 @@ class Runtime:
     def test(self, conditional: int, op: str, lhs, rhs) -> bool:
         """Fused probe for a single-comparison conditional test.
 
-        Equivalent to ``resolve(c, "single", cmp(c, op, lhs, rhs))`` but with
-        no pending stash and no composition scan -- the common case pays for
+        Equivalent to ``resolve(c, (0,), cmp(c, op, lhs, rhs, 0))`` but with
+        no leaf stash and no composition scan -- the common case pays for
         exactly one probe call.
         """
         if op not in _COMPARISON_OPS:
@@ -325,23 +314,18 @@ class Runtime:
         d_true, d_false = self._distances(op, lhs, rhs)
         return self._finish(conditional, outcome, d_true, d_false)
 
-    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: Optional[int] = None) -> bool:
-        """Instrumented comparison inside a Boolean combination test.
+    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: int) -> bool:
+        """Instrumented comparison leaf inside a Boolean combination test.
 
         Computes the branch distances of Def. 4.1 towards the true and the
-        false outcome, stashes them for :meth:`resolve`, and returns the
-        outcome of the comparison so program semantics are preserved.  With a
-        ``leaf`` index the pair is addressed by a composition program; without
-        one it joins the legacy flat ``"and"``/``"or"`` part list.
+        false outcome, stashes them as composition-program leaf ``leaf`` for
+        :meth:`resolve`, and returns the outcome of the comparison so program
+        semantics are preserved.
         """
         if op not in _COMPARISON_OPS:
             raise ValueError(f"unsupported comparison operator {op!r}")
         outcome = _evaluate(op, lhs, rhs)
-        d_true, d_false = self._distances(op, lhs, rhs)
-        if leaf is None:
-            self._pending.setdefault(conditional, []).append((d_true, d_false))
-        else:
-            self._leaves.setdefault(conditional, {})[leaf] = (d_true, d_false)
+        self._leaves.setdefault(conditional, {})[leaf] = self._distances(op, lhs, rhs)
         return outcome
 
     def tleaf(self, conditional: int, leaf: int, value, negated: bool = False) -> bool:
@@ -368,25 +352,17 @@ class Runtime:
         outcome, d_true, d_false = self._promoted(value)
         return self._finish(conditional, outcome, d_true, d_false)
 
-    def resolve(self, conditional: int, mode, outcome) -> bool:
+    def resolve(self, conditional: int, program: tuple[int, ...], outcome) -> bool:
         """Finalize the evaluation of ``conditional``'s test.
 
-        ``mode`` is either a postfix composition program (a token tuple, see
-        the module docstring) over leaves stashed by :meth:`cmp`/:meth:`tleaf`,
-        or the legacy flat ``"and"``/``"or"`` string over un-indexed
-        :meth:`cmp` parts (``"single"`` is accepted for backwards
-        compatibility with the pre-fused probe protocol).  The composed
-        distances are handed to the penalty policy which updates ``r``; the
-        branch taken is added to the coverage record.
+        ``program`` is the postfix composition program (a token tuple, see
+        the module docstring) over the leaves stashed by :meth:`cmp` and
+        :meth:`tleaf`.  The composed distances are handed to the penalty
+        policy which updates ``r``; the branch taken is added to the coverage
+        record.
         """
-        outcome = bool(outcome)
-        if type(mode) is tuple:
-            leaves = self._leaves.pop(conditional, None)
-            d_true, d_false = _compose_program(mode, leaves if leaves is not None else {})
-        else:
-            parts = self._pending.pop(conditional, [])
-            d_true, d_false = _compose(mode, parts)
-        return self._finish(conditional, outcome, d_true, d_false)
+        d_true, d_false = _compose_program(program, self._leaves.pop(conditional, {}))
+        return self._finish(conditional, bool(outcome), d_true, d_false)
 
     # -- internals -------------------------------------------------------------
 
@@ -445,457 +421,6 @@ class Runtime:
         return d_true, d_false
 
 
-class FastRuntime:
-    """The allocation-free runtime behind ``PENALTY_ONLY`` and ``COVERAGE``.
-
-    Hardwires CoverMe's ``pen`` (Def. 4.2) against a *saturated-branch
-    bitmask* frozen at :meth:`begin`:
-
-    * both branches of the conditional saturated -- keep ``r`` (case c); no
-      distance is computed at all;
-    * neither saturated -- ``r`` becomes 0 (case a); no distance either,
-      except the operands are still checked for float-comparability so the
-      recording runtime's "no usable distance => keep ``r``" degradation is
-      reproduced exactly;
-    * exactly one saturated -- ``r`` becomes the branch distance towards the
-      unsaturated branch (case b), computed with the same
-      :func:`~repro.core.branch_distance.branch_distance` arithmetic as the
-      recording runtime, so the two produce bit-identical ``r`` values.
-
-    Coverage is kept as a flat bytearray indexed by :func:`branch_bit`
-    (two machine operations per conditional, no per-conditional objects);
-    the last executed conditional is tracked for the infeasible-branch
-    heuristic.  The per-execution path is *not* retained -- use the
-    recording :class:`Runtime` when the trace matters.
-
-    The saturation snapshot is frozen per execution, which is sound inside
-    one engine start (the tracker is only folded between starts); callers
-    whose tracker evolves must pass the current mask to every
-    :meth:`begin`.
-    """
-
-    __slots__ = (
-        "epsilon",
-        "n_conditionals",
-        "saturated_mask",
-        "total_evaluations",
-        "_r",
-        "_covered",
-        "_zeros",
-        "_pending",
-        "_leaf_slots",
-        "_stack_t",
-        "_stack_f",
-        "_stack_u",
-        "_last_conditional",
-        "_last_outcome",
-    )
-
-    def __init__(
-        self,
-        n_conditionals: int,
-        saturated_mask: int = 0,
-        epsilon: float = DEFAULT_EPSILON,
-    ):
-        self.epsilon = epsilon
-        self.n_conditionals = n_conditionals
-        self.saturated_mask = saturated_mask
-        self.total_evaluations = 0
-        self._r = 1.0
-        self._zeros = bytes(2 * n_conditionals)
-        self._covered = bytearray(self._zeros)
-        self._pending: dict[int, list[tuple[Optional[float], Optional[float]]]] = {}
-        # Composition-tree state, allocated once per conditional on first use
-        # and reused across executions: per-leaf distance slots validated by
-        # (execution, resolve-generation) stamps -- begin() stays O(1) and no
-        # per-execution objects are created -- plus shared postfix stacks.
-        self._leaf_slots: dict[int, list] = {}
-        self._stack_t: list[float] = []
-        self._stack_f: list[float] = []
-        self._stack_u = bytearray()
-        self._last_conditional = -1
-        self._last_outcome = False
-
-    # -- execution lifecycle -------------------------------------------------
-
-    def begin(self, saturated_mask: Optional[int] = None) -> None:
-        """Start one execution against ``saturated_mask`` (kept when omitted)."""
-        if saturated_mask is not None:
-            self.saturated_mask = saturated_mask
-        self._r = 1.0
-        self._covered[:] = self._zeros
-        if self._pending:
-            self._pending.clear()
-        self._last_conditional = -1
-        self.total_evaluations += 1
-
-    @property
-    def r(self) -> float:
-        """Current value of the injected global register."""
-        return self._r
-
-    @property
-    def last_conditional(self) -> Optional[int]:
-        return self._last_conditional if self._last_conditional >= 0 else None
-
-    @property
-    def last_outcome(self) -> Optional[bool]:
-        return self._last_outcome if self._last_conditional >= 0 else None
-
-    def covered_mask(self) -> int:
-        """The covered branches of the current execution as a flat bitmask."""
-        mask = 0
-        for bit, hit in enumerate(self._covered):
-            if hit:
-                mask |= 1 << bit
-        return mask
-
-    def covered_branches(self) -> frozenset[BranchId]:
-        """The covered branches of the current execution as ``BranchId``s."""
-        return frozenset(
-            BranchId(bit >> 1, bool(bit & 1))
-            for bit, hit in enumerate(self._covered)
-            if hit
-        )
-
-    def snapshot(self) -> CoverageOutcome:
-        """Snapshot the coverage-profile outputs of the current execution."""
-        return CoverageOutcome(
-            covered=self.covered_branches(),
-            last_conditional=self.last_conditional,
-            last_outcome=self.last_outcome,
-        )
-
-    # -- probes (called from instrumented code) -------------------------------
-
-    def test(self, conditional: int, op: str, lhs, rhs) -> bool:
-        """Fused single-comparison probe; the engine's hottest code path."""
-        outcome = _evaluate(op, lhs, rhs)
-        self._covered[(conditional << 1) | outcome] = 1
-        self._last_conditional = conditional
-        self._last_outcome = outcome
-        bits = (self.saturated_mask >> (conditional << 1)) & 3
-        if bits == 3:
-            # Def. 4.2(c): both branches saturated, keep r; skip the
-            # distance computation entirely.
-            return outcome
-        lhs_type = lhs.__class__
-        if lhs_type is not float or rhs.__class__ is not float:
-            try:
-                lhs = float(lhs)
-                rhs = float(rhs)
-            except (TypeError, ValueError, OverflowError):
-                # No usable distance: the recording runtime keeps r here.
-                return outcome
-        if bits == 0:
-            # Def. 4.2(a): any outcome saturates a new branch.
-            self._r = 0.0
-            return outcome
-        if lhs != lhs or rhs != rhs:  # NaN operand (matches Runtime._distances)
-            if bits == 1:  # steer towards the true branch
-                self._r = 0.0 if op == "!=" else BIG_DISTANCE
-            else:  # steer towards the false branch
-                self._r = BIG_DISTANCE if op == "!=" else 0.0
-            return outcome
-        if bits == 1:
-            # Def. 4.2(b): only the false branch saturated; steer to true.
-            self._r = branch_distance(op, lhs, rhs, self.epsilon)
-        else:
-            # Def. 4.2(b): only the true branch saturated; steer to false.
-            self._r = branch_distance(negate_op(op), lhs, rhs, self.epsilon)
-        return outcome
-
-    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: Optional[int] = None) -> bool:
-        """Comparison inside a Boolean combination; stashes distances."""
-        if leaf is None:
-            if op not in _COMPARISON_OPS:
-                raise ValueError(f"unsupported comparison operator {op!r}")
-            outcome = _evaluate(op, lhs, rhs)
-            self._pending.setdefault(conditional, []).append(self._distances(op, lhs, rhs))
-            return outcome
-        outcome = _evaluate(op, lhs, rhs)  # raises on an unsupported operator
-        if (self.saturated_mask >> (conditional << 1)) & 3 == 3:
-            # Def. 4.2(c): both branches saturated -- whatever the composed
-            # pair would be, r is kept; resolve() skips the composition for
-            # this conditional too, so nothing needs to be stashed at all.
-            return outcome
-        slots = self._leaf_slots.get(conditional)
-        if slots is None or leaf >= len(slots[1]):
-            slots = self._grow_leaf_slots(conditional, leaf)
-        execs, gens, ts, fs, oks = slots[1], slots[2], slots[3], slots[4], slots[5]
-        execs[leaf] = self.total_evaluations
-        gens[leaf] = slots[0]
-        if lhs.__class__ is float:
-            a = lhs
-        else:
-            try:
-                a = float(lhs)
-            except (TypeError, ValueError, OverflowError):
-                oks[leaf] = 0
-                return outcome
-        if rhs.__class__ is float:
-            b = rhs
-        else:
-            try:
-                b = float(rhs)
-            except (TypeError, ValueError, OverflowError):
-                oks[leaf] = 0
-                return outcome
-        if a != a or b != b:  # NaN operand (matches Runtime._distances)
-            if op == "!=":
-                ts[leaf] = 0.0
-                fs[leaf] = BIG_DISTANCE
-            else:
-                ts[leaf] = BIG_DISTANCE
-                fs[leaf] = 0.0
-        else:
-            # Both directions of Def. 4.1 fused around one squared gap; the
-            # branch-by-branch cases reproduce branch_distance(op)/
-            # branch_distance(negate_op(op)) bit for bit ((b-a)**2 == (a-b)**2
-            # exactly, min() keeps a NaN gap like _squared_gap does).
-            eps = self.epsilon
-            gap = a - b
-            g = BIG_DISTANCE if math.isinf(gap) else min(gap * gap, BIG_DISTANCE)
-            if op == "<":
-                ts[leaf] = 0.0 if a < b else g + eps
-                fs[leaf] = 0.0 if b <= a else g
-            elif op == "<=":
-                ts[leaf] = 0.0 if a <= b else g
-                fs[leaf] = 0.0 if b < a else g + eps
-            elif op == ">":
-                ts[leaf] = 0.0 if b < a else g + eps
-                fs[leaf] = 0.0 if a <= b else g
-            elif op == ">=":
-                ts[leaf] = 0.0 if b <= a else g
-                fs[leaf] = 0.0 if a < b else g + eps
-            elif op == "==":
-                ts[leaf] = g
-                fs[leaf] = eps if a == b else 0.0
-            else:  # "!=" -- _evaluate() already rejected everything else
-                ts[leaf] = 0.0 if a != b else eps
-                fs[leaf] = g
-        oks[leaf] = 1
-        return outcome
-
-    def tleaf(self, conditional: int, leaf: int, value, negated: bool = False) -> bool:
-        """Non-comparison leaf inside a composition tree (promoted truthiness)."""
-        outcome = bool(value)
-        if (self.saturated_mask >> (conditional << 1)) & 3 == 3:
-            # Def. 4.2(c): resolve() will keep r without composing.
-            return not outcome if negated else outcome
-        slots = self._leaf_slots.get(conditional)
-        if slots is None or leaf >= len(slots[1]):
-            slots = self._grow_leaf_slots(conditional, leaf)
-        execs, gens, ts, fs, oks = slots[1], slots[2], slots[3], slots[4], slots[5]
-        execs[leaf] = self.total_evaluations
-        gens[leaf] = slots[0]
-        if isinstance(value, bool):
-            d_true = 0.0 if outcome else self.epsilon
-            d_false = self.epsilon if outcome else 0.0
-        elif isinstance(value, (int, float)):
-            try:
-                promoted = float(value)
-            except (TypeError, ValueError, OverflowError):
-                oks[leaf] = 0
-                return not outcome if negated else outcome
-            if promoted != promoted:  # NaN is != 0: the test holds
-                d_true, d_false = 0.0, BIG_DISTANCE
-            else:
-                d_true = branch_distance("!=", promoted, 0.0, self.epsilon)
-                d_false = branch_distance("==", promoted, 0.0, self.epsilon)
-        else:
-            oks[leaf] = 0
-            return not outcome if negated else outcome
-        if negated:
-            outcome = not outcome
-            d_true, d_false = d_false, d_true
-        ts[leaf] = d_true
-        fs[leaf] = d_false
-        oks[leaf] = 1
-        return outcome
-
-    def truth(self, conditional: int, value) -> bool:
-        """Non-comparison test; same promotion rules as the recording runtime."""
-        outcome = bool(value)
-        if isinstance(value, bool):
-            d_true: Optional[float] = 0.0 if outcome else self.epsilon
-            d_false: Optional[float] = self.epsilon if outcome else 0.0
-        elif isinstance(value, (int, float)):
-            d_true, d_false = self._distances("!=", value, 0.0)
-        else:
-            d_true, d_false = None, None
-        return self._finish(conditional, outcome, d_true, d_false)
-
-    def resolve(self, conditional: int, mode, outcome) -> bool:
-        """Finalize a Boolean-combination test stashed by :meth:`cmp`/:meth:`tleaf`."""
-        outcome = bool(outcome)
-        if type(mode) is tuple:
-            if (self.saturated_mask >> (conditional << 1)) & 3 == 3:
-                # Def. 4.2(c): r is kept whatever the composed pair would be;
-                # the saturation mask is frozen per execution, so the leaves
-                # skipped the stash under the same decision.
-                return self._finish(conditional, outcome, None, None)
-            d_true, d_false = self._compose_tree(conditional, mode)
-            return self._finish(conditional, outcome, d_true, d_false)
-        parts = self._pending.pop(conditional, [])
-        d_true, d_false = _compose(mode, parts)
-        return self._finish(conditional, outcome, d_true, d_false)
-
-    # -- internals -------------------------------------------------------------
-
-    def _grow_leaf_slots(self, conditional: int, leaf: int) -> list:
-        """Create or grow the reusable leaf-slot arrays of one conditional.
-
-        Slot layout: ``[generation, exec_stamps, gen_stamps, d_true, d_false,
-        usable]``.  A leaf slot is valid only when both stamps match the
-        current execution and the conditional's resolve generation, so loop
-        iterations and interleaved helper calls never see stale distances.
-        """
-        slots = self._leaf_slots.get(conditional)
-        if slots is None:
-            slots = [0, [], [], [], [], bytearray()]
-            self._leaf_slots[conditional] = slots
-        grow = leaf + 1 - len(slots[1])
-        if grow > 0:
-            slots[1].extend([-1] * grow)
-            slots[2].extend([-1] * grow)
-            slots[3].extend([0.0] * grow)
-            slots[4].extend([0.0] * grow)
-            slots[5].extend(bytearray(grow))
-        return slots
-
-    def _compose_tree(
-        self, conditional: int, program: tuple[int, ...]
-    ) -> tuple[Optional[float], Optional[float]]:
-        """Allocation-free mirror of :func:`_compose_program`.
-
-        Executes the postfix program on the preallocated stacks against the
-        conditional's stamped leaf slots, then bumps the conditional's
-        resolve generation so the next evaluation round (e.g. the next
-        ``while`` iteration) starts from blank leaves.
-        """
-        slots = self._leaf_slots.get(conditional)
-        stack_t, stack_f, stack_u = self._stack_t, self._stack_f, self._stack_u
-        if len(program) > len(stack_t):
-            grow = len(program) - len(stack_t)
-            stack_t.extend([0.0] * grow)
-            stack_f.extend([0.0] * grow)
-            stack_u.extend(bytearray(grow))
-        if slots is None:
-            generation = 0
-            execs: list = []
-            gens: list = []
-            ts: list = []
-            fs: list = []
-            oks: bytearray = bytearray()
-        else:
-            generation = slots[0]
-            execs = slots[1]
-            gens = slots[2]
-            ts = slots[3]
-            fs = slots[4]
-            oks = slots[5]
-        exec_stamp = self.total_evaluations
-        n_slots = len(execs)
-        sp = 0
-        for token in program:
-            if token >= 0:
-                if (
-                    token < n_slots
-                    and execs[token] == exec_stamp
-                    and gens[token] == generation
-                    and oks[token]
-                ):
-                    stack_t[sp] = ts[token]
-                    stack_f[sp] = fs[token]
-                    stack_u[sp] = 1
-                else:
-                    stack_u[sp] = 0
-                sp += 1
-            elif token == TREE_NOT:
-                if sp == 0:
-                    raise ValueError("malformed composition program: NOT on empty stack")
-                if stack_u[sp - 1]:
-                    stack_t[sp - 1], stack_f[sp - 1] = stack_f[sp - 1], stack_t[sp - 1]
-            else:
-                arity = (-token) >> 1
-                if arity < 2 or arity > sp:
-                    raise ValueError(f"malformed composition program token {token}")
-                is_or = (-token) & 1
-                base = sp - arity
-                d_true = 0.0
-                d_false = 0.0
-                usable = 0
-                for index in range(base, sp):
-                    if not stack_u[index]:
-                        continue
-                    t = stack_t[index]
-                    f = stack_f[index]
-                    if not usable:
-                        d_true, d_false = t, f
-                        usable = 1
-                    elif is_or:
-                        if t < d_true:
-                            d_true = t
-                        d_false = d_false + f
-                    else:
-                        d_true = d_true + t
-                        if f < d_false:
-                            d_false = f
-                sp = base
-                if usable:
-                    stack_t[sp] = d_true
-                    stack_f[sp] = d_false
-                    stack_u[sp] = 1
-                else:
-                    stack_u[sp] = 0
-                sp += 1
-        if sp != 1:
-            raise ValueError("malformed composition program: non-singleton result")
-        if slots is not None:
-            slots[0] = generation + 1
-        if stack_u[0]:
-            return stack_t[0], stack_f[0]
-        return None, None
-
-    def _finish(
-        self,
-        conditional: int,
-        outcome: bool,
-        d_true: Optional[float],
-        d_false: Optional[float],
-    ) -> bool:
-        self._covered[(conditional << 1) | outcome] = 1
-        self._last_conditional = conditional
-        self._last_outcome = outcome
-        if d_true is None and d_false is None:
-            return outcome
-        bits = (self.saturated_mask >> (conditional << 1)) & 3
-        if bits == 0:
-            self._r = 0.0
-        elif bits == 1:
-            if d_true is not None:
-                self._r = d_true
-        elif bits == 2:
-            if d_false is not None:
-                self._r = d_false
-        return outcome
-
-    def _distances(self, op: str, lhs, rhs) -> tuple[Optional[float], Optional[float]]:
-        try:
-            a = float(lhs)
-            b = float(rhs)
-        except (TypeError, ValueError, OverflowError):
-            return None, None
-        if math.isnan(a) or math.isnan(b):
-            big = BIG_DISTANCE
-            return (0.0, big) if op == "!=" else (big, 0.0)
-        return (
-            branch_distance(op, a, b, self.epsilon),
-            branch_distance(negate_op(op), a, b, self.epsilon),
-        )
-
-
 class RuntimeHandle:
     """Mutable holder through which instrumented code reaches the runtime.
 
@@ -906,9 +431,9 @@ class RuntimeHandle:
     """
 
     def __init__(self) -> None:
-        self._runtime: Optional[Runtime | FastRuntime] = None
+        self._runtime: Optional[Runtime] = None
 
-    def install(self, runtime: "Runtime | FastRuntime") -> None:
+    def install(self, runtime: Runtime) -> None:
         self._runtime = runtime
         # Instance attributes shadow the class-level fallbacks below, making
         # every probe a direct call on the runtime.
@@ -919,7 +444,7 @@ class RuntimeHandle:
         self.resolve = runtime.resolve
 
     @property
-    def runtime(self) -> "Runtime | FastRuntime":
+    def runtime(self) -> Runtime:
         if self._runtime is None:
             raise RuntimeError("no Runtime installed on this handle")
         return self._runtime
@@ -928,7 +453,7 @@ class RuntimeHandle:
     def test(self, conditional: int, op: str, lhs, rhs) -> bool:
         return self.runtime.test(conditional, op, lhs, rhs)
 
-    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: Optional[int] = None) -> bool:
+    def cmp(self, conditional: int, op: str, lhs, rhs, leaf: int) -> bool:
         return self.runtime.cmp(conditional, op, lhs, rhs, leaf)
 
     def tleaf(self, conditional: int, leaf: int, value, negated: bool = False) -> bool:
@@ -937,8 +462,8 @@ class RuntimeHandle:
     def truth(self, conditional: int, value) -> bool:
         return self.runtime.truth(conditional, value)
 
-    def resolve(self, conditional: int, mode, outcome) -> bool:
-        return self.runtime.resolve(conditional, mode, outcome)
+    def resolve(self, conditional: int, program: tuple[int, ...], outcome) -> bool:
+        return self.runtime.resolve(conditional, program, outcome)
 
 
 def _evaluate(op: str, lhs, rhs) -> bool:
@@ -957,43 +482,20 @@ def _evaluate(op: str, lhs, rhs) -> bool:
     raise ValueError(f"unsupported comparison operator {op!r}")
 
 
-def _compose(
-    mode: str, parts: list[tuple[Optional[float], Optional[float]]]
-) -> tuple[Optional[float], Optional[float]]:
-    """Compose sub-comparison distances into distances for the whole test.
-
-    For ``A and B`` the distance to truth adds the evaluated parts' distances
-    (all must hold) while the distance to falsity is the smallest part
-    distance (falsifying any part suffices); ``or`` is dual.  Short-circuited
-    parts simply do not contribute, which matches the information available
-    dynamically.
-    """
-    usable = [(t, f) for t, f in parts if t is not None and f is not None]
-    if not usable:
-        return None, None
-    if mode == "single" or len(usable) == 1:
-        return usable[0]
-    trues = [t for t, _ in usable]
-    falses = [f for _, f in usable]
-    if mode == "and":
-        return sum(trues), min(falses)
-    if mode == "or":
-        return min(trues), sum(falses)
-    raise ValueError(f"unknown composition mode {mode!r}")
-
-
 def _compose_program(
     program: tuple[int, ...],
     leaves: dict[int, tuple[Optional[float], Optional[float]]],
 ) -> tuple[Optional[float], Optional[float]]:
     """Execute a postfix composition program over stashed leaf distances.
 
-    Mirrors :func:`_compose` semantics on arbitrary trees: children without a
-    usable pair (short-circuited or non-numeric) contribute nothing, and a
-    node whose children are all unusable is itself unusable.  The arithmetic
-    (left-to-right sums, first-wins minima) is ordered identically to
-    :meth:`FastRuntime._compose_tree` so both runtimes compose bit-identical
-    distances.
+    For ``A and B`` the distance to truth adds the children's distances (all
+    must hold) while the distance to falsity is the smallest one (falsifying
+    any child suffices); ``or`` is dual.  Children without a usable pair
+    (short-circuited or non-numeric) contribute nothing, which matches the
+    information available dynamically, and a node whose children are all
+    unusable is itself unusable.  The arithmetic (left-to-right sums,
+    first-wins minima) is ordered identically in the specialized and native
+    tiers so every tier composes bit-identical distances.
     """
     stack: list[Optional[tuple[float, float]]] = []
     for token in program:

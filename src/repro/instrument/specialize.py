@@ -35,16 +35,18 @@ bytearray indexed by :func:`~repro.instrument.runtime.branch_bit`).  Only
 non-stripped sites write covered bits, so the covered bitset of a specialized
 execution is *partial*: exactly the conditionals that are not yet
 both-saturated record coverage (which is precisely the set whose coverage can
-still make progress).  Consumers that need full coverage re-execute under the
-``COVERAGE`` profile, as the engine already does for accepted minima.
+still make progress).  Consumers that need full coverage replay the input on
+the recording :class:`~repro.instrument.runtime.Runtime`, as the engine does
+for accepted minima.
 
 Bit-identical ``r``
 -------------------
 
-Every inlined fragment mirrors the corresponding :class:`FastRuntime` path
-operation for operation -- same conversion order, same NaN constants, same
-fused distance arithmetic, same composition fold ordering -- so the composed
-``r`` is bit-identical to ``Runtime``/``FastRuntime`` across **all** masks
+Every inlined fragment reproduces the recording
+:class:`~repro.instrument.runtime.Runtime` with CoverMe's penalty installed
+-- same conversion order, same NaN constants, the Def. 4.1 distances fused
+around one squared gap, the same composition fold ordering -- so the
+composed ``r`` is bit-identical to that reference across **all** masks
 (property-tested in ``tests/test_specialize.py``).  The decision whether a
 Boolean tree is lowered or degraded to the distance-blind ``truth`` fallback
 re-runs the instrumentation pass's own ceiling check, so the two tiers can
@@ -377,7 +379,7 @@ class _Specializer(ast.NodeTransformer):
         return _assign(R_NAME, value)
 
     def _cov_write(self, label: int, out: str) -> ast.stmt:
-        """``__sp_cov__[2*label | out] = 1`` (mirrors the fast runtime)."""
+        """``__sp_cov__[2*label | out] = 1`` (the covered bit of the branch taken)."""
         index = ast.BinOp(left=_const(label << 1), op=ast.BitOr(), right=_name(out))
         target = ast.Subscript(value=_name(COV_NAME), slice=index, ctx=ast.Store())
         return ast.Assign(targets=[target], value=_const(1))
@@ -581,8 +583,9 @@ class _Specializer(ast.NodeTransformer):
         pre_b, b = self._operand(rhs)
         out = self._temp()
         stmts = pre_a + pre_b + [_assign(out, _compare(a.node(), op, b.node()))]
-        # FastRuntime.test writes the covered bit before any distance work
-        # (and before a conversion can raise).
+        # The covered bit is written before any distance work, as the
+        # recording runtime registers the branch whether or not a distance
+        # is usable.
         stmts.append(self._cov_write(label, out))
         if bits == 0:
             stmts += self._guarded(a, b, lambda fa, fb: [self._set_r(_const(0.0))])
@@ -757,7 +760,9 @@ class _Specializer(ast.NodeTransformer):
         eps = self.epsilon
 
         def body(fa: _Val, fb: _Val) -> list:
-            # The fused FastRuntime.cmp arithmetic, directions on demand.
+            # Both Def. 4.1 directions fused around one squared gap
+            # ((b-a)**2 == (a-b)**2 exactly, min() keeps a NaN gap like
+            # branch_distance does), computed on demand.
             inner: list = []
             if op == "!=":
                 g_needed = need_f

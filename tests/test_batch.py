@@ -51,6 +51,5 @@ class TestRepresentingEvaluateBatch:
             _assert_matches_scalar(target, ExecutionProfile.PENALTY_SPECIALIZED)
 
     def test_non_specialized_profile_loops_per_row(self):
-        for profile in (ExecutionProfile.PENALTY_ONLY, ExecutionProfile.FULL_TRACE):
-            _assert_matches_scalar(sp.paper_foo, profile)
-            _assert_matches_scalar(sp.nested_branches, profile)
+        _assert_matches_scalar(sp.paper_foo, ExecutionProfile.FULL_TRACE)
+        _assert_matches_scalar(sp.nested_branches, ExecutionProfile.FULL_TRACE)

@@ -6,10 +6,11 @@ inputs.  Two properties must hold on every execution:
 
 * **Eq. 8** -- the composed ``(d_true, d_false)`` of the whole test is
   non-negative and zero exactly on the side the test actually took;
-* **profile parity** -- :class:`FastRuntime` (the ``penalty``/``coverage``
-  profiles) computes bit-identical ``r`` and coverage to the recording
-  :class:`Runtime` + ``CoverMePenalty`` (the ``full-trace`` profile) under
-  random saturation states.
+* **profile parity** -- the specialized tier (``penalty-specialized``, the
+  default profile) computes bit-identical ``r`` and the same coverage of
+  unsaturated conditionals as the reference: the recording :class:`Runtime`
+  + ``CoverMePenalty`` (the ``full-trace`` profile), under random saturation
+  states.
 """
 
 from __future__ import annotations
@@ -28,21 +29,17 @@ from repro.instrument.ast_pass import HANDLE_NAME, instrument_source
 from repro.instrument.runtime import (
     BranchId,
     ExecutionProfile,
-    FastRuntime,
     Runtime,
     RuntimeHandle,
     branch_mask,
 )
+from repro.instrument.specialize import COV_NAME, R_NAME, specialized_unit
 from tests import sample_programs as sp
+from tests.test_instrument_runtime import SaturatedStub
 
 N_VARS = 3
 N_TREES = 30
 N_POINTS = 12
-
-
-class _SaturatedStub:
-    def __init__(self, branches):
-        self.saturated = frozenset(branches)
 
 
 def _gen_leaf(rng: random.Random) -> str:
@@ -89,7 +86,16 @@ def _build(test_expr: str):
     exec(compile(tree, "<compose-property>", "exec"), namespace)  # noqa: S102
     original_ns: dict = {}
     exec(compile(ast.parse(source), "<compose-original>", "exec"), original_ns)  # noqa: S102
-    return namespace["f"], original_ns["f"], handle, conds
+    return namespace["f"], original_ns["f"], handle, conds, source
+
+
+def _run_specialized(source: str, mask: int, args) -> tuple[object, float, int]:
+    """Execute ``f`` of ``source`` under the specialized tier for ``mask``."""
+    namespace: dict = {COV_NAME: bytearray(2), R_NAME: 1.0}
+    exec(specialized_unit(source, "f", 0, mask).code, namespace)  # noqa: S102
+    value = namespace["f"](*args)
+    covered = sum(1 << bit for bit, hit in enumerate(namespace[COV_NAME]) if hit)
+    return value, namespace[R_NAME], covered
 
 
 def _random_saturation(rng: random.Random) -> frozenset[BranchId]:
@@ -108,14 +114,14 @@ def _bits(value: float) -> bytes:
 def test_random_trees_satisfy_eq8_and_profile_parity(seed):
     rng = random.Random(seed)
     expr = _gen_tree(rng, rng.choice([1, 2, 2, 3]))
-    instrumented, original, handle, conds = _build(expr)
+    instrumented, original, handle, conds, source = _build(expr)
     assert conds[0].form in {"boolean", "chained", "ternary"} or "not" in expr
 
     for _ in range(N_POINTS):
         args = tuple(round(rng.uniform(-5.0, 5.0) * 4.0) / 4.0 for _ in range(N_VARS))
         saturated = _random_saturation(rng)
 
-        recording = Runtime(policy=CoverMePenalty(_SaturatedStub(saturated)))
+        recording = Runtime(policy=CoverMePenalty(SaturatedStub(saturated)))
         handle.install(recording)
         recording.begin()
         value = instrumented(*args)
@@ -131,12 +137,13 @@ def test_random_trees_satisfy_eq8_and_profile_parity(seed):
         else:
             assert d_false == 0.0 and d_true > 0.0, (expr, args)
 
-        fast = FastRuntime(len(conds), saturated_mask=branch_mask(saturated))
-        handle.install(fast)
-        fast.begin()
-        assert instrumented(*args) == value
-        assert _bits(fast.r) == _bits(recording.r), (expr, args, saturated)
-        assert fast.covered_branches() == recording.record.covered
+        mask = branch_mask(saturated)
+        sp_value, sp_r, sp_covered = _run_specialized(source, mask, args)
+        assert sp_value == value
+        assert _bits(sp_r) == _bits(recording.r), (expr, args, saturated)
+        # A both-saturated conditional has its probe stripped: no coverage.
+        expected = 0 if mask == 3 else branch_mask(recording.record.covered)
+        assert sp_covered == expected, (expr, args, saturated)
 
 
 @pytest.mark.parametrize(

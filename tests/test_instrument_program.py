@@ -11,13 +11,7 @@ from repro.instrument.program import (
     compiled_cache_info,
     instrument,
 )
-from repro.instrument.runtime import (
-    BranchId,
-    CoverageOutcome,
-    ExecutionProfile,
-    FastRuntime,
-    Runtime,
-)
+from repro.instrument.runtime import BranchId, Runtime, branch_mask
 from repro.instrument.signature import ProgramSignature
 from tests import sample_programs as sp
 
@@ -84,73 +78,26 @@ class TestExecution:
 
 
 class TestProfiledExecution:
-    def test_full_trace_returns_record(self, paper_foo_program):
-        value, r, record = paper_foo_program.run_profiled((0.5,))
-        assert value == sp.paper_foo(0.5)
-        assert record.covered == {BranchId(0, True), BranchId(1, False)}
-
-    def test_coverage_profile_returns_coverage_outcome(self, paper_foo_program):
-        value, r, outcome = paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.COVERAGE
-        )
-        assert value == sp.paper_foo(0.5)
-        assert isinstance(outcome, CoverageOutcome)
-        assert outcome.covered == {BranchId(0, True), BranchId(1, False)}
-        assert outcome.last_conditional == 1
-        assert outcome.last_outcome is False
-
-    def test_penalty_profile_returns_flat_bitmask(self, paper_foo_program):
-        from repro.instrument.runtime import branch_mask
-
-        value, r, mask = paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.PENALTY_ONLY
-        )
-        assert value == sp.paper_foo(0.5)
-        assert isinstance(mask, int)
-        assert mask == branch_mask({BranchId(0, True), BranchId(1, False)})
-
-    def test_reused_runtime_keeps_configured_mask(self, paper_foo_program):
-        """Regression: the mask default must not clobber a reused runtime's."""
-        from repro.instrument.runtime import branch_mask
-
-        mask = branch_mask(paper_foo_program.all_branches)
-        runtime = FastRuntime(paper_foo_program.n_conditionals, saturated_mask=mask)
-        _, r, _ = paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.PENALTY_ONLY, runtime=runtime
-        )
-        # Everything saturated: pen case (c) keeps r at 1, and the runtime's
-        # configured mask survives the call.
-        assert r == 1.0
-        assert runtime.saturated_mask == mask
+    """The specialized tier against the recording reference."""
 
     def test_profiles_agree_on_coverage(self, paper_foo_program):
         for x in (0.5, 1.0, -3.0, 7.7):
-            _, r_trace, record = paper_foo_program.run_profiled((x,))
-            _, r_fast, outcome = paper_foo_program.run_profiled(
-                (x,), profile=ExecutionProfile.COVERAGE
-            )
-            assert outcome.covered == frozenset(record.covered)
-            # The fast runtime hardwires CoverMe's pen: with an empty
-            # saturation mask every conditional is case (a), so r is 0; the
-            # recording default (policy=None) leaves r at 1.
+            _, r_trace, record = paper_foo_program.run((x,))
+            _, r_sp, covered = paper_foo_program.run_specialized((x,), 0)
+            # With an empty saturation mask no probe is stripped, so the
+            # specialized bitset is complete.
+            assert covered == branch_mask(record.covered)
+            # The specialized tier bakes in CoverMe's pen: every conditional
+            # is case (a), so r is 0; the recording default (policy=None)
+            # leaves r at 1.
             assert r_trace == 1.0
-            assert r_fast == 0.0
-
-    def test_explicit_fast_runtime_is_reused(self, paper_foo_program):
-        runtime = FastRuntime(paper_foo_program.n_conditionals)
-        paper_foo_program.run_profiled(
-            (0.5,), profile=ExecutionProfile.PENALTY_ONLY, runtime=runtime
-        )
-        paper_foo_program.run_profiled(
-            (2.0,), profile=ExecutionProfile.PENALTY_ONLY, runtime=runtime
-        )
-        assert runtime.total_evaluations == 2
+            assert r_sp == 0.0
 
     def test_exceptions_swallowed_in_fast_profile(self):
         program = instrument(sp.raises_for_small)
-        value, _, outcome = program.run_profiled((0.5,), profile=ExecutionProfile.COVERAGE)
+        value, _, covered = program.run_specialized((0.5,), 0)
         assert value is None
-        assert BranchId(0, True) in outcome.covered
+        assert covered & (1 << BranchId(0, True).bit)
 
 
 class TestCompiledCodeCache:

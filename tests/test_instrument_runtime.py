@@ -9,12 +9,13 @@ from repro.instrument.runtime import (
     BranchId,
     ConditionalOutcome,
     ExecutionRecord,
-    FastRuntime,
     Runtime,
     RuntimeHandle,
     branch_bit,
     branch_mask,
     branches_from_mask,
+    tree_and,
+    tree_or,
 )
 
 
@@ -45,9 +46,9 @@ class TestRuntimeProbes:
     def test_cmp_returns_outcome_and_records_on_resolve(self):
         rt = Runtime()
         rt.begin()
-        outcome = rt.cmp(0, "<=", 1.0, 2.0)
+        outcome = rt.cmp(0, "<=", 1.0, 2.0, 0)
         assert outcome is True
-        assert rt.resolve(0, "single", outcome) is True
+        assert rt.resolve(0, (0,), outcome) is True
         r, record = rt.end()
         assert r == 1.0  # no policy installed
         assert record.covered == {BranchId(0, True)}
@@ -56,13 +57,13 @@ class TestRuntimeProbes:
         rt = Runtime()
         rt.begin()
         with pytest.raises(ValueError):
-            rt.cmp(0, "?", 1.0, 2.0)
+            rt.cmp(0, "?", 1.0, 2.0, 0)
 
     def test_distances_reach_policy(self):
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        rt.resolve(0, "single", rt.cmp(0, "==", 3.0, 5.0))
+        rt.resolve(0, (0,), rt.cmp(0, "==", 3.0, 5.0, 0))
         assert len(policy.calls) == 1
         conditional, d_true, d_false, outcome, current_r = policy.calls[0]
         assert conditional == 0
@@ -92,7 +93,7 @@ class TestRuntimeProbes:
     def test_nan_operand_yields_large_distance(self):
         rt = Runtime()
         rt.begin()
-        rt.resolve(0, "single", rt.cmp(0, "<=", float("nan"), 1.0))
+        rt.resolve(0, (0,), rt.cmp(0, "<=", float("nan"), 1.0, 0))
         outcome = rt.record.path[0]
         assert outcome.outcome is False
         assert outcome.distance_true >= 1.0e300
@@ -101,9 +102,9 @@ class TestRuntimeProbes:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 0.0, 1.0)   # false, distance to true = 1 + eps
-        second = rt.cmp(0, ">", -1.0, 1.0)  # false, distance to true = 4 + eps
-        rt.resolve(0, "and", first and second)
+        first = rt.cmp(0, ">", 0.0, 1.0, 0)   # false, distance to true = 1 + eps
+        second = rt.cmp(0, ">", -1.0, 1.0, 1)  # false, distance to true = 4 + eps
+        rt.resolve(0, (0, 1, tree_and(2)), first and second)
         _, d_true, d_false, _, _ = policy.calls[0]
         assert d_true == pytest.approx(5.0 + 2 * DEFAULT_EPSILON)
         assert d_false == 0.0
@@ -112,16 +113,16 @@ class TestRuntimeProbes:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 0.0, 1.0)
-        second = rt.cmp(0, ">", 0.5, 1.0)
-        rt.resolve(0, "or", first or second)
+        first = rt.cmp(0, ">", 0.0, 1.0, 0)
+        second = rt.cmp(0, ">", 0.5, 1.0, 1)
+        rt.resolve(0, (0, 1, tree_or(2)), first or second)
         _, d_true, _, _, _ = policy.calls[0]
         assert d_true == pytest.approx(0.25 + DEFAULT_EPSILON)
 
     def test_begin_resets_state(self):
         rt = Runtime(policy=ConstantPolicy(0.5))
         rt.begin()
-        rt.resolve(0, "single", rt.cmp(0, "==", 1.0, 2.0))
+        rt.resolve(0, (0,), rt.cmp(0, "==", 1.0, 2.0, 0))
         assert rt.r == 0.5
         rt.begin()
         assert rt.r == 1.0
@@ -136,7 +137,7 @@ class TestRuntimeProbes:
 
 
 class TestFusedTestProbe:
-    """The fused single-comparison probe must equal cmp + resolve('single')."""
+    """The fused single-comparison probe must equal a one-leaf cmp + resolve."""
 
     def test_matches_cmp_resolve_pair(self):
         for op, lhs, rhs in [("==", 3.0, 5.0), ("<", 1.0, 1.0), (">=", 2.0, -1.0)]:
@@ -145,7 +146,7 @@ class TestFusedTestProbe:
             fused.begin()
             paired.begin()
             assert fused.test(0, op, lhs, rhs) == paired.resolve(
-                0, "single", paired.cmp(0, op, lhs, rhs)
+                0, (0,), paired.cmp(0, op, lhs, rhs, 0)
             )
             assert fused_policy.calls == paired_policy.calls
             assert fused.record.covered == paired.record.covered
@@ -161,7 +162,7 @@ class TestFusedTestProbe:
         rt = Runtime()
         rt.begin()
         rt.test(0, "<", 1.0, 2.0)
-        assert rt._pending == {}
+        assert rt._leaves == {}
 
 
 class TestTruthEdgeCases:
@@ -210,9 +211,9 @@ class TestComposeShortCircuit:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 0.0, 1.0)  # False: second operand never evaluated
+        first = rt.cmp(0, ">", 0.0, 1.0, 0)  # False: second operand never evaluated
         assert first is False
-        rt.resolve(0, "and", first)
+        rt.resolve(0, (0, 1, tree_and(2)), first)
         _, d_true, d_false, outcome, _ = policy.calls[0]
         assert d_true == pytest.approx(1.0 + DEFAULT_EPSILON)
         assert d_false == 0.0
@@ -222,9 +223,9 @@ class TestComposeShortCircuit:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, "<", 0.0, 1.0)  # True: second operand short-circuited
+        first = rt.cmp(0, "<", 0.0, 1.0, 0)  # True: second operand short-circuited
         assert first is True
-        rt.resolve(0, "or", first)
+        rt.resolve(0, (0, 1, tree_or(2)), first)
         _, d_true, d_false, outcome, _ = policy.calls[0]
         assert d_true == 0.0
         assert d_false == pytest.approx(1.0 + DEFAULT_EPSILON)
@@ -235,9 +236,9 @@ class TestComposeShortCircuit:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 10**400, 1)  # no usable distance
-        second = rt.cmp(0, ">", 0.0, 1.0)
-        rt.resolve(0, "and", first and second)
+        first = rt.cmp(0, ">", 10**400, 1, 0)  # no usable distance
+        second = rt.cmp(0, ">", 0.0, 1.0, 1)
+        rt.resolve(0, (0, 1, tree_and(2)), first and second)
         _, d_true, _, _, _ = policy.calls[0]
         assert d_true == pytest.approx(1.0 + DEFAULT_EPSILON)  # only the second part
 
@@ -245,28 +246,10 @@ class TestComposeShortCircuit:
         policy = ConstantPolicy()
         rt = Runtime(policy=policy)
         rt.begin()
-        first = rt.cmp(0, ">", 10**400, 1)
-        rt.resolve(0, "and", first)
+        first = rt.cmp(0, ">", 10**400, 1, 0)
+        rt.resolve(0, (0, 1, tree_and(2)), first)
         assert policy.calls == []
         assert rt.r == 1.0
-
-    def test_unknown_mode_rejected(self):
-        rt = Runtime()
-        rt.begin()
-        rt.cmp(0, "<", 1.0, 2.0)
-        rt.cmp(0, "<", 2.0, 3.0)
-        with pytest.raises(ValueError, match="unknown composition mode"):
-            rt.resolve(0, "xor", True)
-
-    def test_single_usable_part_skips_mode_check(self):
-        """With one usable part the composition is that part, whatever the mode."""
-        rt = Runtime()
-        rt.begin()
-        rt.cmp(0, "<", 1.0, 2.0)
-        assert rt.resolve(0, "and", True) is True
-        outcome = rt.record.path[0]
-        assert outcome.distance_true == 0.0
-        assert outcome.distance_false > 0.0
 
 
 class TestBranchBitHelpers:
@@ -302,113 +285,8 @@ def _reference_r(saturated, script):
     return rt.r, rt.record.covered
 
 
-def _fast_r(saturated, script, n_conditionals=4):
-    rt = FastRuntime(n_conditionals, saturated_mask=branch_mask(saturated))
-    rt.begin()
-    script(rt)
-    return rt.r, rt.covered_branches()
-
-
-class TestFastRuntimeEquivalence:
-    """FastRuntime must compute bit-identical r to Runtime + CoverMePenalty."""
-
-    SCRIPTS = [
-        lambda rt: rt.test(0, "<=", 3.0, 1.0),
-        lambda rt: rt.test(0, "==", 2.0, 2.0),
-        lambda rt: (rt.test(0, ">", 5.0, 1.0), rt.test(1, "<", 5.0, 1.0)),
-        lambda rt: rt.test(0, "!=", float("nan"), 1.0),
-        lambda rt: rt.test(0, "<", float("nan"), 1.0),
-        lambda rt: rt.truth(1, 7.5),
-        lambda rt: rt.truth(1, 0),
-        lambda rt: rt.truth(1, True),
-        lambda rt: rt.truth(1, "opaque"),
-        lambda rt: rt.truth(1, 10**400),
-        lambda rt: rt.test(2, ">=", 10**400, 1),
-        lambda rt: rt.resolve(3, "and", rt.cmp(3, ">", 0.0, 1.0)),
-        lambda rt: rt.resolve(3, "or", rt.cmp(3, ">", 0.0, 1.0) or rt.cmp(3, ">", -1.0, 1.0)),
-        # Composition programs: nested trees, negation, promoted leaves.
-        lambda rt: rt.resolve(
-            3, (0, 1, -4), rt.cmp(3, ">", 0.0, 1.0, 0) and rt.cmp(3, ">", 2.0, 1.0, 1)
-        ),
-        lambda rt: rt.resolve(
-            2,
-            (0, 1, 2, -4, -5),
-            rt.cmp(2, "<", 3.0, 1.0, 0)
-            or (rt.cmp(2, "==", 1.0, 1.0, 1) and rt.cmp(2, "<=", 2.0, 5.0, 2)),
-        ),
-        lambda rt: rt.resolve(
-            2,
-            (0, 1, 2, -4, -5),
-            rt.cmp(2, "<", 0.0, 1.0, 0)  # true: the and-side short-circuits away
-            or (rt.cmp(2, "==", 1.0, 1.0, 1) and rt.cmp(2, "<=", 2.0, 5.0, 2)),
-        ),
-        lambda rt: rt.resolve(1, (0, -1), rt.tleaf(1, 0, 2.5, True)),
-        lambda rt: rt.resolve(1, (0, 1, -5), rt.tleaf(1, 0, 0.0) or rt.cmp(1, ">", 4.0, 1.0, 1)),
-        lambda rt: rt.resolve(1, (0, 1, -4), rt.tleaf(1, 0, "opaque") and rt.cmp(1, ">", 4.0, 1.0, 1)),
-        # Ternary shape: the condition leaf 0 is referenced on both sides.
-        lambda rt: rt.resolve(
-            0,
-            (0, 1, -4, 0, -1, 2, -4, -5),
-            rt.cmp(0, ">", 2.0, 5.0, 1) if rt.cmp(0, ">", 1.0, 0.0, 0) else rt.cmp(0, "<", 1.0, 0.0, 2),
-        ),
-        lambda rt: rt.resolve(0, (0, 1, -4), rt.cmp(0, "!=", float("nan"), 1.0, 0) and rt.cmp(0, "<", 1.0, 2.0, 1)),
-    ]
-
-    @pytest.mark.parametrize("script_index", range(len(SCRIPTS)))
-    def test_r_and_coverage_match_reference(self, script_index):
-        script = self.SCRIPTS[script_index]
-        all_branches = [BranchId(c, o) for c in range(4) for o in (False, True)]
-        # Saturation states: empty, everything, and one-sided per conditional.
-        states = [frozenset(), frozenset(all_branches)]
-        for c in range(4):
-            states.append(frozenset({BranchId(c, True)}))
-            states.append(frozenset({BranchId(c, False)}))
-        for saturated in states:
-            expected = _reference_r(saturated, script)
-            got = _fast_r(saturated, script)
-            assert got == expected, f"saturated={set(saturated)}"
-
-    def test_last_conditional_tracking(self):
-        rt = FastRuntime(4)
-        rt.begin()
-        assert rt.last_conditional is None and rt.last_outcome is None
-        rt.test(2, "<", 1.0, 2.0)
-        assert rt.last_conditional == 2 and rt.last_outcome is True
-        rt.truth(0, None)
-        assert rt.last_conditional == 0 and rt.last_outcome is False
-
-    def test_begin_resets_coverage_and_mask(self):
-        rt = FastRuntime(2, saturated_mask=branch_mask({BranchId(0, True)}))
-        rt.begin()
-        rt.test(0, "<", 1.0, 2.0)
-        assert rt.covered_branches() == {BranchId(0, True)}
-        rt.begin(saturated_mask=0)
-        assert rt.covered_branches() == frozenset()
-        assert rt.saturated_mask == 0
-        assert rt.r == 1.0
-        assert rt.total_evaluations == 2
-
-    def test_snapshot(self):
-        rt = FastRuntime(2)
-        rt.begin()
-        rt.test(1, ">", 2.0, 1.0)
-        snap = rt.snapshot()
-        assert snap.covered == {BranchId(1, True)}
-        assert snap.last_conditional == 1
-        assert snap.last_outcome is True
-        assert snap.covered_mask() == branch_mask({BranchId(1, True)})
-
-
 class TestCompositionPrograms:
-    """The postfix tree composition shared by both runtimes."""
-
-    def test_and_program_matches_legacy_flat_compose(self):
-        legacy, tree = Runtime(policy=ConstantPolicy()), Runtime(policy=ConstantPolicy())
-        legacy.begin()
-        tree.begin()
-        legacy.resolve(0, "and", legacy.cmp(0, ">", 0.0, 1.0) and legacy.cmp(0, ">", -1.0, 1.0))
-        tree.resolve(0, (0, 1, -4), tree.cmp(0, ">", 0.0, 1.0, 0) and tree.cmp(0, ">", -1.0, 1.0, 1))
-        assert legacy.policy.calls == tree.policy.calls
+    """The postfix tree composition of the recording runtime."""
 
     def test_nested_or_of_and(self):
         policy = ConstantPolicy()
@@ -462,39 +340,34 @@ class TestCompositionPrograms:
         with pytest.raises(ValueError, match="malformed composition program"):
             rt.resolve(0, (0, 0, -4, -4), True)
 
-    def test_fast_runtime_loop_iterations_do_not_leak_leaves(self):
+    def test_loop_iterations_do_not_leak_leaves(self):
         """A short-circuited later iteration must not reuse iteration-1 leaves."""
-        for runtime in (
-            Runtime(policy=ConstantPolicy()),
-            FastRuntime(4),
-        ):
-            runtime.begin()
-            # Iteration 1: both leaves evaluated (leaf 1 distance stashed).
-            runtime.resolve(
-                0, (0, 1, -5), runtime.cmp(0, ">", 2.0, 1.0, 0) or runtime.cmp(0, ">", 0.0, 1.0, 1)
-            )
-            # Iteration 2: leaf 0 true, leaf 1 short-circuited away.
-            runtime.resolve(0, (0, 1, -5), runtime.cmp(0, ">", 3.0, 1.0, 0) or True)
-        # Equivalence of the two runtimes on exactly this scenario:
-        saturated = frozenset({BranchId(0, False)})
+        saturated = frozenset({BranchId(0, True)})
 
         def script(rt):
-            rt.resolve(0, (0, 1, -5), rt.cmp(0, ">", 0.0, 1.0, 0) or rt.cmp(0, ">", 0.5, 1.0, 1))
+            # Iteration 1: both leaves evaluated (leaf 1 distance stashed).
+            rt.resolve(0, (0, 1, -5), rt.cmp(0, ">", 0.0, 1.0, 0) or rt.cmp(0, ">", 2.0, 1.0, 1))
+            # Iteration 2: leaf 0 true, leaf 1 short-circuited away.
             rt.resolve(0, (0, 1, -5), rt.cmp(0, ">", 3.0, 1.0, 0) or True)
 
-        assert _fast_r(saturated, script) == _reference_r(saturated, script)
+        r, covered = _reference_r(saturated, script)
+        # pen steers to the false branch: the distance to falsity of
+        # iteration 2 is leaf 0's (3 - 1)**2 alone; a leaked iteration-1
+        # leaf 1 would add its (2 - 1)**2.
+        assert r == 4.0
+        assert covered == {BranchId(0, True)}
 
-    def test_fast_runtime_stale_execution_leaves_invalidated(self):
+    def test_stale_execution_leaves_invalidated(self):
         """Leaves stashed in a crashed execution never leak into the next one."""
-        fast = FastRuntime(2)
-        fast.begin()
-        fast.cmp(0, ">", 5.0, 1.0, 0)  # execution "crashes" before resolve
-        fast.begin()
+        rt = Runtime(policy=ConstantPolicy())
+        rt.begin()
+        rt.cmp(0, ">", 5.0, 1.0, 0)  # execution "crashes" before resolve
+        rt.begin()
         # Same conditional, no leaves evaluated this time: composing must see
-        # nothing usable and keep r (mask: only false branch saturated).
-        fast.saturated_mask = branch_mask({BranchId(0, False)})
-        fast.resolve(0, (0, 1, -5), False)
-        assert fast.r == 1.0
+        # nothing usable and keep r.
+        rt.resolve(0, (0, 1, -5), False)
+        assert rt.policy.calls == []
+        assert rt.r == 1.0
 
 
 class TestTleafPromotion:
@@ -551,12 +424,12 @@ class TestRuntimeHandle:
     def test_requires_installation(self):
         handle = RuntimeHandle()
         with pytest.raises(RuntimeError):
-            handle.cmp(0, "<", 1.0, 2.0)
+            handle.cmp(0, "<", 1.0, 2.0, 0)
 
     def test_forwards_to_installed_runtime(self):
         handle = RuntimeHandle()
         rt = Runtime()
         handle.install(rt)
         rt.begin()
-        assert handle.resolve(0, "single", handle.cmp(0, "<", 1.0, 2.0)) is True
+        assert handle.resolve(0, (0,), handle.cmp(0, "<", 1.0, 2.0, 0)) is True
         assert BranchId(0, True) in rt.record.covered

@@ -4,8 +4,8 @@ The contract under test is cross-tier bit-identity: for any program, any
 saturation mask and any input row -- NaN, infinities, denormals, huge-int
 word patterns included -- the native scalar entry point, the native batch
 entry point (serial *and* threaded, ``n_threads`` in {1, 2, 4}), the scalar
-``PENALTY_SPECIALIZED`` variant and the generic
-:class:`~repro.instrument.runtime.FastRuntime` must compute the same ``r``
+``PENALTY_SPECIALIZED`` variant and the reference recording
+:class:`~repro.instrument.runtime.Runtime` must compute the same ``r``
 bit-for-bit and the same covered-branch sets.  On top of that sit the
 caller-held covered-bit accumulator (incremental reduction), the
 kernel/digest caches (including the ``-O3`` flag tier), the background
@@ -67,7 +67,7 @@ from repro.instrument.program import (
 )
 from repro.instrument.runtime import ExecutionProfile
 from tests import sample_programs as sp
-from tests.test_specialize import PARITY_TARGETS, _run_fast, _unsaturated_bits
+from tests.test_specialize import PARITY_TARGETS, _run_reference, _unsaturated_bits
 
 requires_cc = pytest.mark.skipif(
     not cc_available(), reason="no C compiler (cc/gcc/clang) on PATH"
@@ -122,7 +122,7 @@ def _adversarial_rows(rng, target, arity: int, n_random: int) -> np.ndarray:
 
 
 def _assert_native_parity(program, mask: int, X: np.ndarray) -> None:
-    """Native scalar == native batch == specialized == FastRuntime, row for row.
+    """Native scalar == native batch == specialized == reference, row for row.
 
     The batch check runs the threaded entry at ``n_threads`` in {1, 2, 4}
     and the caller-held accumulator on top of the serial loop: every
@@ -148,12 +148,12 @@ def _assert_native_parity(program, mask: int, X: np.ndarray) -> None:
         args = row.tolist()
         _, r_sp, cov_sp = program.run_specialized(args, mask)
         r_native, cov_native = kernel.scalar(args)
-        _, r_fast, cov_fast = _run_fast(program, mask, args)
+        _, r_ref, cov_ref = _run_reference(program, mask, args)
         context = (program.name, hex(mask), args)
-        assert _bits(r_native) == _bits(r_sp) == _bits(r_fast), context
+        assert _bits(r_native) == _bits(r_sp) == _bits(r_ref), context
         assert _bits(float(r_batch[i])) == _bits(r_sp), context
         assert cov_native == cov_sp, context
-        assert cov_sp == _unsaturated_bits(mask, cov_fast, program.n_conditionals), context
+        assert cov_sp == _unsaturated_bits(mask, cov_ref, program.n_conditionals), context
         cov_union |= cov_sp
     assert cov_batch == cov_union, (program.name, hex(mask))
 
@@ -392,11 +392,9 @@ class TestCachesAndDigest:
         assert info["misses"] == misses  # second failure served from cache
         assert info["hits"] >= 1
 
-    def test_run_profiled_dispatches_to_native(self):
+    def test_run_native_returns_r_and_coverage_only(self):
         program = instrument(sp.paper_foo)
-        value, r, covered = program.run_profiled(
-            [4.0], ExecutionProfile.PENALTY_NATIVE, saturated_mask=0
-        )
+        value, r, covered = program.run_native([4.0], 0)
         _, r_sp, cov_sp = program.run_specialized([4.0], 0)
         assert value is None  # the native kernel computes only r and coverage
         assert _bits(r) == _bits(r_sp)
@@ -750,9 +748,9 @@ class TestEngineIdentity:
             factory, profile="penalty-specialized", n_workers=n_workers, mode=mode
         )
         # The native run primes each chunk with one kernel call; the
-        # specialized and generic runs evaluate every start's x0 on its own.
-        generic = self._run(factory, profile="penalty", n_workers=n_workers, mode=mode)
-        assert native == specialized == generic, mode
+        # specialized and recording runs evaluate every start's x0 on its own.
+        reference = self._run(factory, profile="full-trace", n_workers=n_workers, mode=mode)
+        assert native == specialized == reference, mode
 
     def test_rows_mode_suite_entry_identical_across_pools(self):
         by_name = {c.function.split("(")[0]: c for c in BENCHMARKS}

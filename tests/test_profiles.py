@@ -1,4 +1,4 @@
-"""Cross-layer tests for the two-tier evaluation runtime.
+"""Cross-layer tests for the execution profiles of the evaluation stack.
 
 The contract: execution profiles are a pure performance knob.  Seeded engine
 runs must produce bit-identical covered/saturated branch sets and generated
@@ -7,6 +7,8 @@ bit-pattern memo cache.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ class TestEngineProfileDeterminism:
         for profile in EXECUTION_PROFILES:
             assert run_sets(target, eval_profile=profile) == baseline, profile
 
-    def test_profiles_and_workers_compose(self):
+    def test_profiles_and_worker_counts_agree(self):
         baseline = run_sets(fdlibm_tanh, eval_profile="full-trace", n_workers=1)
         for profile in EXECUTION_PROFILES:
             for n_workers, mode in ((2, "thread"), (4, "process")):
@@ -49,12 +51,39 @@ class TestEngineProfileDeterminism:
         without = run_sets(kernel_cos, memoize=False)
         assert with_memo == without
 
-    def test_default_profile_is_penalty_only(self):
-        assert CoverMeConfig().eval_profile == ExecutionProfile.PENALTY_ONLY.value
+    def test_default_profile_is_specialized(self):
+        from repro.engine.worker import StartParams
+        from repro.experiments.runner import PROFILES
+
+        specialized = ExecutionProfile.PENALTY_SPECIALIZED.value
+        assert CoverMeConfig().eval_profile == specialized
+        assert StartParams.__dataclass_fields__["eval_profile"].default == specialized
+        assert {p.eval_profile for p in PROFILES.values()} == {specialized}
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="unknown eval profile"):
             CoverMeConfig(eval_profile="fastest")
+
+    def test_profile_set(self):
+        assert EXECUTION_PROFILES == ("penalty-native", "penalty-specialized", "full-trace")
+
+    @pytest.mark.parametrize("removed", ["penalty", "coverage"])
+    def test_removed_profiles_rejected_by_config(self, removed):
+        from repro.experiments.runner import PROFILES
+
+        with pytest.raises(ValueError, match="unknown eval profile"):
+            CoverMeConfig(eval_profile=removed)
+        with pytest.raises(ValueError, match="unknown eval profile"):
+            dataclasses.replace(PROFILES["smoke"], eval_profile=removed)
+
+    @pytest.mark.parametrize("removed", ["penalty", "coverage"])
+    def test_removed_profiles_rejected_by_cli(self, removed, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "table2", "--ephemeral", "--eval-profile", removed])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRepresentingProfiles:
@@ -85,7 +114,7 @@ class TestRepresentingProfiles:
         program = instrument(sp.paper_foo)
         tracker = SaturationTracker(program)
         fast = RepresentingFunction(
-            program, tracker, profile=ExecutionProfile.PENALTY_ONLY
+            program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
         assert fast([0.7]) == 0.0  # nothing saturated: pen case (a)
         for x in (0.7, 1.0, 1.1, -5.2):
@@ -107,10 +136,10 @@ class TestRepresentingProfiles:
         assert len(set(outcomes.values())) == 1, outcomes
 
     def test_evaluate_with_record_works_under_fast_profile(self):
-        """Trace consumers get a real record even on a penalty-only instance."""
+        """Trace consumers get a real record even on a specialized instance."""
         program = instrument(sp.paper_foo)
         representing = RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_ONLY
+            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
         value, record = representing.evaluate_with_record([0.5])
         assert record.path  # full trace materialized on demand

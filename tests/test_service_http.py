@@ -150,6 +150,9 @@ class TestRejections:
             {"case": CASE_KEY, "profile": "no-such-profile"},  # unknown profile
             {"case": CASE_KEY, "profile": "det-http", "overrides": {"bogus": 1}},
             {"case": CASE_KEY, "profile": "det-http", "overrides": "n_start=4"},
+            # eval profiles that no longer exist
+            {"case": CASE_KEY, "profile": "det-http", "overrides": {"eval_profile": "penalty"}},
+            {"case": CASE_KEY, "profile": "det-http", "overrides": {"eval_profile": "coverage"}},
         ],
     )
     def test_bad_submissions_are_400(self, daemon, body):

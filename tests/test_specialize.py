@@ -1,10 +1,11 @@
 """Tests for the saturation-specialized penalty codegen tier.
 
 The contract under test: for every saturation mask, the specialized variant
-computes a bit-identical ``r`` to the generic runtimes, identical return
-values, and identical covered bits for every conditional that is not
-both-saturated (stripped probes record nothing by design); and the epoch
-protocol recompiles only when the mask actually changes.
+computes a bit-identical ``r`` to the reference semantics (the recording
+runtime with CoverMe's penalty), identical return values, and identical
+covered bits for every conditional that is not both-saturated (stripped
+probes record nothing by design); and the epoch protocol recompiles only
+when the mask actually changes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import struct
 import numpy as np
 import pytest
 
+from repro.core.branch_distance import DEFAULT_EPSILON
+from repro.core.pen import CoverMePenalty
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.experiments.runner import instrument_case
@@ -25,8 +28,14 @@ from repro.instrument.program import (
     compiled_cache_info,
     instrument,
 )
-from repro.instrument.runtime import ExecutionProfile, FastRuntime, Runtime
+from repro.instrument.runtime import (
+    ExecutionProfile,
+    Runtime,
+    branch_mask,
+    branches_from_mask,
+)
 from tests import sample_programs as sp
+from tests.test_instrument_runtime import SaturatedStub
 
 #: Sample targets covering every lowered conditional form (simple, negated,
 #: boolean trees, De Morgan, chains, ternary, promoted, loops, helpers).
@@ -58,17 +67,13 @@ def _bits(value: float) -> bytes:
     return struct.pack("=d", value)
 
 
-def _run_fast(program, mask: int, args) -> tuple[object, float, int]:
-    """Reference execution through the generic FastRuntime."""
-    fast = FastRuntime(program.n_conditionals)
-    program.handle.install(fast)
-    fast.begin(mask)
-    value: object = None
-    try:
-        value = program.entry(*args)
-    except (ArithmeticError, ValueError, OverflowError):
-        value = None
-    return value, fast.r, fast.covered_mask()
+def _run_reference(
+    program, mask: int, args, epsilon: float = DEFAULT_EPSILON
+) -> tuple[object, float, int]:
+    """Reference execution: the recording Runtime with CoverMe's penalty."""
+    policy = CoverMePenalty(SaturatedStub(branches_from_mask(mask)), epsilon)
+    value, r, record = program.run(args, runtime=Runtime(policy=policy, epsilon=epsilon))
+    return value, r, branch_mask(record.covered)
 
 
 def _unsaturated_bits(mask: int, covered: int, n_conditionals: int) -> int:
@@ -81,7 +86,7 @@ def _unsaturated_bits(mask: int, covered: int, n_conditionals: int) -> int:
 
 
 def _assert_parity(program, mask: int, args) -> None:
-    value_ref, r_ref, covered_ref = _run_fast(program, mask, args)
+    value_ref, r_ref, covered_ref = _run_reference(program, mask, args)
     value_sp, r_sp, covered_sp = program.run_specialized(args, mask)
     assert _bits(r_sp) == _bits(r_ref), (program.name, hex(mask), args, r_sp, r_ref)
     same = value_sp == value_ref or (value_sp != value_sp and value_ref != value_ref)
@@ -157,19 +162,19 @@ class TestSpecializedParity:
             clear_compiled_cache()
 
     def test_pointwise_equal_to_penalty_profile(self):
-        """RepresentingFunction values match across the fast tiers mid-search."""
+        """RepresentingFunction values match the recording tier mid-search."""
         program = instrument(sp.nested_boolean)
         tracker = SaturationTracker(program)
         specialized = RepresentingFunction(
             program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
-        penalty = RepresentingFunction(program, tracker, profile=ExecutionProfile.PENALTY_ONLY)
+        reference = RepresentingFunction(program, tracker, profile=ExecutionProfile.FULL_TRACE)
         rng = np.random.default_rng(5)
         for index in range(120):
             x = rng.normal(scale=10.0, size=program.arity)
-            assert _bits(specialized(x)) == _bits(penalty(x))
+            assert _bits(specialized(x)) == _bits(reference(x))
             if index % 30 == 29:  # evolve saturation mid-stream
-                _, coverage = penalty.evaluate_with_coverage(x)
+                _, coverage = reference.evaluate_with_coverage(x)
                 tracker.add_covered(set(coverage.covered))
 
 
@@ -237,29 +242,13 @@ class TestEpochProtocol:
 
 
 class TestSpecializedProgramAPI:
-    def test_run_profiled_dispatches_specialized(self):
+    def test_run_specialized_honors_epsilon_and_mask(self):
+        """The epsilon baked into a variant matches the reference's epsilon."""
         program = instrument(sp.paper_foo)
-        value, r, covered = program.run_profiled(
-            [0.5], ExecutionProfile.PENALTY_SPECIALIZED, saturated_mask=0
-        )
-        ref_value, ref_r, ref_covered = program.run_specialized([0.5], 0)
-        assert (value, r, covered) == (ref_value, ref_r, ref_covered)
-
-    def test_run_profiled_honors_runtime_epsilon_and_mask(self):
-        """A passed fast runtime configures the specialized tier (epsilon+mask)."""
-        program = instrument(sp.paper_foo)
-        custom = FastRuntime(program.n_conditionals, saturated_mask=0b1000, epsilon=0.5)
         for point in ([-3.0], [0.7], [1.0]):
-            program.handle.install(custom)
-            custom.begin()
-            try:
-                program.entry(*point)
-            except (ArithmeticError, ValueError, OverflowError):
-                pass
-            _, r, _ = program.run_profiled(
-                point, ExecutionProfile.PENALTY_SPECIALIZED, runtime=custom
-            )
-            assert _bits(r) == _bits(custom.r), point
+            _, r, _ = program.run_specialized(point, 0b1000, epsilon=0.5)
+            _, r_ref, _ = _run_reference(program, 0b1000, point, epsilon=0.5)
+            assert _bits(r) == _bits(r_ref), point
 
     def test_programs_without_units_cannot_specialize(self, paper_foo_program):
         import dataclasses
