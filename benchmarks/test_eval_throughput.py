@@ -14,11 +14,6 @@ branch-dense Fdlibm functions and asserts the runtime guarantees:
   (geomean over the workload; the gate self-skips when no C compiler is
   present; ``REPRO_FORCE_NATIVE_BENCH=1`` forces it, e.g. in CI where a
   toolchain is guaranteed);
-* the threaded ``sp_batch_mt`` entry at 4096-row batches is at least 1.5x
-  faster at 4 threads than at 1 (geomean over the workload), with the sweep
-  asserted bit-identical across thread counts -- this gate additionally
-  self-skips on machines with fewer than 4 cores, where the speedup cannot
-  physically materialize (``REPRO_FORCE_NATIVE_BENCH=1`` forces it too);
 * all profiles compute bit-identical objective values;
 * the epoch protocol compiles exactly one variant per (mask, epsilon) and
   performs zero re-specializations while the saturation mask is unchanged.
@@ -61,18 +56,11 @@ SPECIALIZED_TARGET_SPEEDUP = 6.0
 NATIVE_VS_SPECIALIZED_TARGET = 2.4
 POINTS = 150
 #: Rows per native batch call.  A batch amortizes the ctypes dispatch over
-#: its rows, so its throughput is a function of batch size; 1024 is a
-#: representative population-scale batch (a proposal population or a primed
-#: multi-start sweep), while the 150-point scalar workload would mostly
-#: measure the dispatch constant.  Values are still asserted bit-identical
+#: its rows, so its throughput is a function of batch size; 1024 rows
+#: measure the kernel rather than the dispatch constant, which the 150-point
+#: scalar workload would mostly measure.  Values are still asserted bit-identical
 #: on the exact scalar point set.
 BATCH_POINTS = 1024
-#: Rows per call for the multi-threaded sweep: large enough that the
-#: per-thread chunks amortize pthread create/join, matching the engine's
-#: primed multi-start sweeps.
-MT_BATCH_POINTS = 4096
-MT_THREAD_SWEEP = (1, 2, 4)
-MT_VS_SINGLE_TARGET = 1.5
 REPEATS = 6
 
 
@@ -145,38 +133,6 @@ def _native_batched_throughput(program, tracker, points) -> tuple[float, list[fl
     return BATCH_POINTS / best, [float(v) for v in values]
 
 
-def _native_mt_throughput(program, tracker) -> dict[int, float]:
-    """Thread-sweep of the ``sp_batch_mt`` entry at a 4096-row batch.
-
-    Times the same compiled kernel at each thread count of
-    :data:`MT_THREAD_SWEEP` and asserts every sweep point computes
-    bit-identical values -- the fixed-order OR-merge is the mt entry's core
-    contract, so a divergence here is a correctness bug, not noise.
-    """
-    kernel = program.native_kernel(tracker.saturated_mask)
-    X = np.ascontiguousarray(
-        np.random.default_rng(13).normal(scale=10.0, size=(MT_BATCH_POINTS, program.arity))
-    )
-    reference = None
-    rates: dict[int, float] = {}
-    for n_threads in MT_THREAD_SWEEP:
-        r, _ = kernel(X, n_threads=n_threads)  # warm-up + identity capture
-        bits = r.view(np.uint64).tolist()
-        if reference is None:
-            reference = bits
-        else:
-            assert bits == reference, (
-                f"n_threads={n_threads} diverges bitwise from single-thread"
-            )
-        best = float("inf")
-        for _ in range(REPEATS):
-            started = time.perf_counter()
-            kernel(X, n_threads=n_threads)
-            best = min(best, time.perf_counter() - started)
-        rates[n_threads] = MT_BATCH_POINTS / best
-    return rates
-
-
 def _geomean(ratios: list[float]) -> float:
     return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
@@ -188,12 +144,8 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
     per_function: dict[str, dict[str, float]] = {}
     specialized_ratios = []
     native_vs_specialized = []
-    mt_vs_single = []
     force_native = os.environ.get("REPRO_FORCE_NATIVE_BENCH") == "1"
     native_available = cc_available() or force_native
-    # The mt gate needs real parallelism to pass: skip it below 4 cores
-    # unless forced (CI runners guarantee 4 vCPUs and set the force flag).
-    mt_available = native_available and ((os.cpu_count() or 1) >= 4 or force_native)
     for name, case in cases:
         program, tracker, points = _prepared(case)
         rates: dict[str, float] = {}
@@ -224,16 +176,9 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
             per_function[name]["penalty-native-batch"] = native_rate
             per_function[name]["native_vs_specialized"] = native_ratio
             native_vs_specialized.append(native_ratio)
-            if mt_available:
-                mt_rates = _native_mt_throughput(program, tracker)
-                mt_ratio = mt_rates[MT_THREAD_SWEEP[-1]] / mt_rates[1]
-                per_function[name]["native-mt"] = {str(k): v for k, v in mt_rates.items()}
-                per_function[name]["mt_vs_single_thread"] = mt_ratio
-                mt_vs_single.append(mt_ratio)
 
     specialized_geomean = _geomean(specialized_ratios)
     native_geomean = _geomean(native_vs_specialized) if native_vs_specialized else None
-    mt_geomean = _geomean(mt_vs_single) if mt_vs_single else None
     report = {
         "workload": [name for name, _ in cases],
         "points_per_function": POINTS * (REPEATS + 1),
@@ -241,11 +186,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
         "specialized_vs_full_trace_geomean": specialized_geomean,
         "native_vs_specialized_geomean": native_geomean,
         "native_available": native_available,
-        "mt_vs_single_thread_geomean": mt_geomean,
-        "mt_thread_sweep": list(MT_THREAD_SWEEP),
-        "mt_batch_points": MT_BATCH_POINTS,
-        "mt_available": mt_available,
-        "mt_target_speedup": MT_VS_SINGLE_TARGET,
         "specialized_target_speedup": SPECIALIZED_TARGET_SPEEDUP,
         "native_target_speedup": NATIVE_VS_SPECIALIZED_TARGET,
     }
@@ -263,12 +203,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
             f"native {BATCH_POINTS}-row batches vs scalar specialized: geomean "
             f"{native_geomean:.2f}x over {len(native_vs_specialized)} functions"
         )
-    if mt_geomean is not None:
-        print(
-            f"native mt {MT_THREAD_SWEEP[-1]} threads vs 1: geomean "
-            f"{mt_geomean:.2f}x over {len(mt_vs_single)} functions "
-            f"at {MT_BATCH_POINTS}-row batches"
-        )
     for name, stats in per_function.items():
         batched_note = ""
         if "penalty-native-batch" in stats:
@@ -276,8 +210,6 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
                 f"native {stats['penalty-native-batch']:>12,.0f}/s "
                 f"{stats['native_vs_specialized']:.2f}x  "
             )
-        if "mt_vs_single_thread" in stats:
-            batched_note = f"mt {stats['mt_vs_single_thread']:.2f}x  " + batched_note
         print(
             f"  {name:20s} {batched_note}"
             f"specialized {stats['penalty-specialized']:>10,.0f}/s  "
@@ -299,44 +231,32 @@ def test_eval_throughput_and_profile_equivalence(bench_report_dir):
             f"expected >= {NATIVE_VS_SPECIALIZED_TARGET}x native {BATCH_POINTS}-row "
             f"batches vs scalar specialized, measured {native_geomean:.2f}x"
         )
-    if mt_geomean is None:
-        # Fewer than 4 cores (or no native tier at all): the threaded entry
-        # cannot demonstrate parallel speedup here.  CI runs with 4 vCPUs
-        # and REPRO_FORCE_NATIVE_BENCH=1, so the gate cannot silently vanish
-        # where the hardware supports it.
-        print(
-            "mt gate skipped: <4 cores or no C compiler "
-            "(set REPRO_FORCE_NATIVE_BENCH=1 to force)"
-        )
-    else:
-        assert mt_geomean >= MT_VS_SINGLE_TARGET, (
-            f"expected >= {MT_VS_SINGLE_TARGET}x mt ({MT_THREAD_SWEEP[-1]} threads) "
-            f"vs single-thread at {MT_BATCH_POINTS}-row batches, "
-            f"measured {mt_geomean:.2f}x"
-        )
 
 
 def test_memoized_start_reduces_executions():
     """The bit-pattern memo cuts true executions without changing the result."""
     from repro.optimize.basinhopping import basinhopping
+    from repro.optimize.memo import BitPatternMemo
 
     name, case = _workload_cases()[0]
     outcomes = {}
-    for memoize in (False, True):
+    for wrapped in (False, True):
         program, tracker, _ = _prepared(case)
         representing = RepresentingFunction(
             program, tracker, profile=ExecutionProfile.PENALTY_SPECIALIZED
         )
+        objective = (
+            BitPatternMemo(representing, arity=program.arity) if wrapped else representing
+        )
         result = basinhopping(
-            representing,
+            objective,
             np.full(program.arity, 2.5),
             n_iter=4,
             rng=np.random.default_rng(3),
-            memoize=memoize,
             local_options={"max_iterations": 40},
         )
         key = (float(result.fun), tuple(float(v) for v in result.x))
-        outcomes[memoize] = (key, representing.evaluations, result.nfev)
+        outcomes[wrapped] = (key, representing.evaluations, result.nfev)
 
     (key_plain, execs_plain, nfev_plain) = outcomes[False]
     (key_memo, execs_memo, nfev_memo) = outcomes[True]

@@ -72,16 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the optimizer inner-loop execution profile "
             "(default penalty-specialized)",
         )
-        p.add_argument(
-            "--proposal-population", type=int, default=None, metavar="K",
-            help="basin-hopping perturbation candidates screened per hop "
-            "(default 1 = the paper's single-proposal trajectory)",
-        )
-        p.add_argument(
-            "--native-threads", type=int, default=None, metavar="K",
-            help="C threads per native batched evaluation (penalty-native "
-            "profile; results are bit-identical for every value)",
-        )
 
     run_p = sub.add_parser("run", help="execute specs (resuming from the store) and render them")
     run_p.add_argument("specs", nargs="+", choices=available_specs(), metavar="SPEC")
@@ -252,10 +242,6 @@ def _resolve_profile(args):
         overrides["max_cases"] = args.cases
     if getattr(args, "eval_profile", None) is not None:
         overrides["eval_profile"] = args.eval_profile
-    if getattr(args, "proposal_population", None) is not None:
-        overrides["proposal_population"] = args.proposal_population
-    if getattr(args, "native_threads", None) is not None:
-        overrides["native_threads"] = args.native_threads
     return dataclasses.replace(profile, **overrides) if overrides else profile
 
 

@@ -19,6 +19,10 @@ DEFAULT_BATCH_SIZE = 8
 class CoverMeConfig:
     """Parameters of Algorithm 1 plus implementation knobs.
 
+    Every start minimizes one scalar objective: the representing function
+    behind a per-start :class:`~repro.optimize.memo.BitPatternMemo`, one
+    perturbation per Monte-Carlo move (Algorithm 1, lines 24-34).
+
     Attributes:
         n_start: Number of random starting points (``n_start`` in Algorithm 1).
             The paper's evaluation uses 500; the default here is smaller so a
@@ -74,22 +78,6 @@ class CoverMeConfig:
             seeded results.  Accepted minima are always replayed on the
             recording runtime, so the reduction sees the same branch sets
             regardless of this setting.
-        memoize: Serve repeated objective evaluations at bit-identical
-            inputs from a per-start memo cache instead of re-executing the
-            program.  Values and seeded trajectories are unchanged; only the
-            execution count drops.
-        proposal_population: Perturbation candidates screened per
-            basin-hopping Monte-Carlo move (builtin backend).  1 (the
-            default) reproduces the historical single-proposal trajectory
-            exactly; larger values batch-evaluate the whole population per
-            hop and descend from the best candidate.
-        native_threads: Native-tier batch threads.  Under the
-            ``penalty-native`` profile, batched evaluations run the emitted
-            ``sp_batch_mt`` entry with this many C threads (private
-            covered-bit partials merged in fixed thread-index order, so
-            ``r`` and the covered set are bit-identical for any value).  1
-            (the default) keeps the serial row loop.  Result-neutral, like
-            ``n_workers``, and therefore excluded from store fingerprints.
         progress: Optional observer called by the engine after each batch
             reduction with a dict of running counters (batch index, starts
             issued/used, evaluations, covered/saturated branch counts).  It
@@ -122,15 +110,11 @@ class CoverMeConfig:
     max_evaluations: Optional[int] = None
     time_budget: Optional[float] = None
     local_max_iterations: int = 40
-    verbose: bool = False
     n_workers: int = 1
     worker_mode: str = "auto"
     start_strategy: str = "random-normal"
     batch_size: Optional[int] = None
     eval_profile: str = ExecutionProfile.PENALTY_SPECIALIZED.value
-    memoize: bool = True
-    proposal_population: int = 1
-    native_threads: int = 1
     progress: Optional[Callable[[dict], None]] = field(default=None, repr=False, compare=False)
     pool_factory: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -174,10 +158,6 @@ class CoverMeConfig:
         if self.eval_profile not in EXECUTION_PROFILES:
             known = ", ".join(EXECUTION_PROFILES)
             raise ValueError(f"unknown eval profile {self.eval_profile!r}; known: {known}")
-        if self.proposal_population < 1:
-            raise ValueError("proposal_population must be >= 1")
-        if self.native_threads < 1:
-            raise ValueError("native_threads must be >= 1")
         if self.progress is not None and not callable(self.progress):
             raise ValueError("progress must be a callable (or None)")
         if self.pool_factory is not None and not callable(self.pool_factory):

@@ -10,7 +10,9 @@ instrumented program on ``x`` and returns the final value of ``r``.  With the
   (Thm. 4.3).
 
 The object is a plain callable ``R^n -> R`` so that any unconstrained
-programming backend can minimize it as a black box.
+programming backend can minimize it as a black box; the optimizer only ever
+makes scalar calls.  :meth:`RepresentingFunction.evaluate_batch` serves the
+one batched caller, the engine's native chunk priming.
 
 Evaluation runs under a configurable
 :class:`~repro.instrument.runtime.ExecutionProfile`.  ``PENALTY_SPECIALIZED``
@@ -81,13 +83,11 @@ class RepresentingFunction:
         tracker: Optional[SaturationTracker] = None,
         epsilon: float = DEFAULT_EPSILON,
         profile: ExecutionProfile | str = ExecutionProfile.FULL_TRACE,
-        native_threads: int = 1,
     ):
         self.program = program
         self.tracker = tracker if tracker is not None else SaturationTracker(program)
         self.epsilon = epsilon
         self.profile = ExecutionProfile(profile)
-        self.native_threads = max(1, int(native_threads))
         self.evaluations = 0
         self.last_record: Optional[ExecutionRecord] = None
         self.last_value: Optional[float] = None
@@ -112,13 +112,6 @@ class RepresentingFunction:
         self._native_ok = True
         self._native_pending: Optional[str] = None
         self.native_pending_calls = 0
-        # Caller-held accumulator for the native tier's incremental covered
-        # reduction, keyed to the kernel it feeds; ``last_new_covered_mask``
-        # is the newly-set bits of the most recent native batch, in the form
-        # SaturationTracker.add_covered_mask consumes.
-        self._native_acc = None
-        self._native_acc_kernel = None
-        self.last_new_covered_mask = 0
         self._warned: set[str] = set()
         self._arity = program.arity
         self._native = self.profile is ExecutionProfile.PENALTY_NATIVE
@@ -172,7 +165,7 @@ class RepresentingFunction:
         """Evaluate ``FOO_R`` at every row of an ``(N, arity)`` array at once.
 
         Under the ``PENALTY_NATIVE`` profile with a loaded kernel the whole
-        batch goes through one
+        batch goes through one serial
         :class:`~repro.instrument.native.kernel.NativeKernel` call, following
         the same epoch protocol as ``__call__``.  Every other case -- other
         profiles, a native build still pending, or a degraded native tier --
@@ -198,17 +191,7 @@ class RepresentingFunction:
             if native is None or native.saturated_mask != mask:
                 native = self._native_kernel_for(mask)
         if native is not None:
-            # Incremental reduction: the accumulator carries covered words
-            # across calls, so each batch reports only newly-set bits (ready
-            # for SaturationTracker.add_covered_mask).
-            acc = self._native_acc
-            if acc is None or self._native_acc_kernel is not native:
-                acc = native.new_accumulator()
-                self._native_acc = acc
-                self._native_acc_kernel = native
-            raw, self.last_new_covered_mask = native(
-                X, n_threads=self.native_threads, accumulator=acc
-            )
+            raw, _cov = native(X)
             out = np.where(np.isfinite(raw), raw, _CLAMP)
             self.evaluations += n
             self.last_record = None

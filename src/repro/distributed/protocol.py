@@ -10,17 +10,17 @@ must survive the round trip *bit-exactly* is encoded losslessly:
 * branch sets travel as integer masks (:func:`~repro.instrument.runtime.
   branch_mask` / ``branches_from_mask``, bit = ``(conditional << 1) |
   outcome``), an exact round trip;
-* the per-lease saturation snapshot uses a **delta scheme** modeled on the
-  native tier's ``CovAccumulator``: covered/infeasible sets only grow
-  within a run, so the coordinator tracks which bits each worker has
-  already seen (:class:`MaskSender`) and ships only the newly-set ones,
-  plus a digest of the full mask.  The worker ORs the delta into its
-  accumulator (:class:`MaskReceiver`) and verifies the digest; any
-  mismatch (worker restart, a stolen lease carrying an older snapshot the
-  sender could not express as a delta) raises :class:`MaskResync`, and the
-  worker re-acquires with ``resync=true`` -- the coordinator then resets
-  its sender state and re-sends the full mask.  Correctness never depends
-  on the delta path: the digest gates every decode.
+* the per-lease saturation snapshot uses a **delta scheme**:
+  covered/infeasible sets only grow within a run, so the coordinator
+  tracks which bits each worker has already seen (:class:`MaskSender`)
+  and ships only the newly-set ones, plus a digest of the full mask.  The
+  worker ORs the delta into its accumulator (:class:`MaskReceiver`) and
+  verifies the digest; any mismatch (worker restart, a stolen lease
+  carrying an older snapshot the sender could not express as a delta)
+  raises :class:`MaskResync`, and the worker re-acquires with
+  ``resync=true`` -- the coordinator then resets its sender state and
+  re-sends the full mask.  Correctness never depends on the delta path:
+  the digest gates every decode.
 
 The coordinator keys result validation on its *own* lease objects (which
 hold the original frozensets), so wire fidelity matters only for
@@ -111,7 +111,7 @@ def decode_result(data: dict) -> StartResult:
 
 
 # ---------------------------------------------------------------------------
-# Mask delta scheme (CovAccumulator-style: send only newly-set bits)
+# Mask delta scheme (send only newly-set bits)
 # ---------------------------------------------------------------------------
 
 

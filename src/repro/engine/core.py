@@ -109,9 +109,6 @@ class SearchEngine:
             root_seed=self.root_seed,
             deadline=deadline,
             eval_profile=config.eval_profile,
-            memoize=config.memoize,
-            proposal_population=config.proposal_population,
-            native_threads=config.native_threads,
         )
 
         inputs: list[tuple[float, ...]] = []

@@ -5,8 +5,8 @@ A *start* is one basin-hopping launch of Algorithm 1's loop body (lines
 frozen snapshot of the saturation state, then evaluate the found minimum once
 more to obtain its coverage outcome.  The minimization loop runs under the
 configured execution profile (``PENALTY_SPECIALIZED`` by default -- the
-optimizer only reads the scalar objective) with an optional bit-pattern memo
-cache in front of the objective; the final evaluation replays the minimum on
+optimizer only reads the scalar objective) with a bit-pattern memo cache in
+front of the objective; the final evaluation replays the minimum on
 the recording runtime so the reduction sees the complete covered branches
 and the infeasible heuristic's last conditional.  Starts within a batch
 share the same snapshot, which makes them independent of one another -- the
@@ -68,9 +68,6 @@ class StartParams:
     root_seed: int
     deadline: Optional[float] = None
     eval_profile: str = ExecutionProfile.PENALTY_SPECIALIZED.value
-    memoize: bool = True
-    proposal_population: int = 1
-    native_threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -107,8 +104,8 @@ def prime_chunk(
 ) -> Optional[dict[int, float]]:
     """One batched first-evaluation pass over a chunk's start vectors.
 
-    Under the native profile (memo on) the chunk's ``x0`` vectors go through
-    a single :class:`~repro.instrument.native.kernel.NativeKernel` call; the
+    Under the native profile the chunk's ``x0`` vectors go through one
+    serial :class:`~repro.instrument.native.kernel.NativeKernel` call; the
     resulting values seed each start's memo, so the optimizer's opening
     evaluation at ``x0`` is a cache hit instead of a scalar program
     execution.  That is the only tier where a batch costs less than its
@@ -119,7 +116,7 @@ def prime_chunk(
     each start's own representing function would compute and seeded
     trajectories are unchanged.
     """
-    if not params.memoize or len(tasks) < 2:
+    if len(tasks) < 2:
         return None
     if ExecutionProfile(params.eval_profile) is not ExecutionProfile.PENALTY_NATIVE:
         return None
@@ -131,8 +128,7 @@ def prime_chunk(
         return None
     tracker = SaturationTracker(program, covered=set(covered), infeasible=set(infeasible))
     representing = RepresentingFunction(
-        program, tracker, epsilon=params.epsilon, profile=params.eval_profile,
-        native_threads=params.native_threads,
+        program, tracker, epsilon=params.epsilon, profile=params.eval_profile
     )
     X = np.ascontiguousarray([t.x0 for t in eligible], dtype=np.float64)
     values = representing.evaluate_batch(X)
@@ -148,7 +144,7 @@ def run_start(
     """Execute one start against ``task``'s saturation snapshot.
 
     ``primed`` is the pre-computed ``FOO_R(x0)`` from :func:`prime_chunk`;
-    when present (memo on) it is planted in the memo and one evaluation is
+    when present it is planted in the memo and one evaluation is
     credited, so the reported evaluation count matches the unprimed run.
     """
     if params.deadline is not None and time.time() >= params.deadline:
@@ -163,17 +159,14 @@ def run_start(
     # harvest branches.  All profiles compute bit-identical values, so this
     # choice never changes seeded results.
     representing = RepresentingFunction(
-        program, tracker, epsilon=params.epsilon, profile=params.eval_profile,
-        native_threads=params.native_threads,
+        program, tracker, epsilon=params.epsilon, profile=params.eval_profile
     )
     # Within one start the saturation snapshot is frozen, so FOO_R is a pure
     # function of the input bits and memoizing it is sound.  The memo wraps
     # the objective *outside* the backend, which keeps the backend protocol
     # unchanged and works for any registered backend.
-    objective = (
-        BitPatternMemo(representing, arity=program.arity) if params.memoize else representing
-    )
-    if primed is not None and params.memoize:
+    objective = BitPatternMemo(representing, arity=program.arity)
+    if primed is not None:
         # The batched pass already executed FOO_R(x0); plant the value and
         # credit the execution so ``evaluations`` is identical to the
         # scalar path (where the optimizer's opening call is a memo miss).
@@ -189,11 +182,6 @@ def run_start(
         return False
 
     backend = get_backend(params.backend)
-    extra_kwargs = {}
-    if params.proposal_population != 1:
-        # Passed only when non-default so third-party registered backends
-        # without the parameter keep working at the default setting.
-        extra_kwargs["proposal_population"] = params.proposal_population
     result = backend(
         objective,
         np.asarray(task.x0, dtype=float),
@@ -204,7 +192,6 @@ def run_start(
         rng=rng,
         callback=callback,
         local_options={"max_iterations": params.local_max_iterations},
-        **extra_kwargs,
     )
     x_star = found["x"] if "x" in found else result.x
     value, coverage = representing.evaluate_with_coverage(x_star)

@@ -46,8 +46,6 @@ class Profile:
     n_workers: int = 1
     start_strategy: str = "random-normal"
     eval_profile: str = ExecutionProfile.PENALTY_SPECIALIZED.value
-    proposal_population: int = 1
-    native_threads: int = 1
 
     def __post_init__(self) -> None:
         # Checked here as well as in CoverMeConfig so a bad override (CLI,
@@ -66,8 +64,6 @@ class Profile:
             n_workers=self.n_workers,
             start_strategy=self.start_strategy,
             eval_profile=self.eval_profile,
-            proposal_population=self.proposal_population,
-            native_threads=self.native_threads,
         )
 
 

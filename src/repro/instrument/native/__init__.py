@@ -11,8 +11,8 @@ code:
   bit-casts, int64 wrap-around, guarded truncation, exception-to-freeze
   semantics and the NaN-per-direction distance constants.
 * :mod:`repro.instrument.native.c_backend` -- the C99 backend.  Renders the
-  IR into a translation unit exposing a scalar entry point and a batch
-  ``for``-loop entry point.
+  IR into a translation unit exposing a scalar entry point and a serial
+  batch ``for``-loop entry point.
 * :mod:`repro.instrument.native.cache` -- compiler discovery, out-of-process
   compilation via the system ``cc`` and a content-addressed, FIFO-bounded
   shared-object cache on disk, loaded with :mod:`ctypes`.
@@ -41,7 +41,6 @@ from repro.instrument.native.cache import (
     opt_tier,
 )
 from repro.instrument.native.kernel import (
-    CovAccumulator,
     NativeKernel,
     build_native_kernel,
     clear_native_cache,
@@ -49,7 +48,6 @@ from repro.instrument.native.kernel import (
 )
 
 __all__ = [
-    "CovAccumulator",
     "NativeCompiling",
     "NativeKernel",
     "NativeUnavailable",

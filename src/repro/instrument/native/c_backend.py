@@ -13,25 +13,12 @@ uint64_t *cov_out, unsigned char *bail_out)``
     union of covered bits over the non-bailed rows; ``bail_out[i]`` flags
     rows the caller must redo.
 
-``void sp_batch_mt(const double *rows, long long n, long long n_threads,
-double *r_out, uint64_t *cov_out, unsigned char *bail_out)``
-    Same row semantics, but the row range is partitioned across pthread
-    workers (the same size+rest split as the engine's ``chunk_evenly``).
-    Each worker accumulates covered bits into a private
-    ``uint64_t[SP_NWORDS]`` partial; the coordinator joins and OR-merges
-    the partials in fixed thread-index order.  Rows are independent and OR
-    is commutative, so ``r_out`` and the covered set are bit-identical for
-    any thread count.  Unlike ``sp_batch``, ``cov_out`` is an **in/out
-    accumulator**: it is never zeroed here, only OR-ed into, so a caller
-    holding the accumulator across calls reads only newly-set words.
-
-All per-row state lives in a context struct on the worker's stack, so one
-shared object is safely callable from many threads at once.  The serial
-row loop hoists the context out of the loop (clearing only dirtied words)
-and ``restrict``-qualifies the row/output pointers so the compiler may
-vectorize it.  Float constants render as C99 hex literals for
-bit-exactness, and the build uses ``-ffp-contract=off`` so no FMA
-contraction can change results.
+All per-row state lives in a context struct on the caller's stack, so one
+shared object is safely callable from many threads at once.  The batch row
+loop hoists the context out of the loop and ``restrict``-qualifies the
+row/output pointers so the compiler may vectorize it.  Float constants
+render as C99 hex literals for bit-exactness, and the build uses
+``-ffp-contract=off`` so no FMA contraction can change results.
 """
 
 from __future__ import annotations
@@ -74,10 +61,6 @@ _PRELUDE = r"""
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
-#include <pthread.h>
-
-/* Stack-array bound on worker threads per sp_batch_mt call. */
-#define SP_MT_MAX 64
 
 typedef struct {
     double r;
@@ -315,17 +298,16 @@ def render_c(ir: ProgramIR) -> str:
         "    return 0;",
         "}",
         "",
-        "/* Row range [start, end): r/bail per row, covered bits OR-ed into",
-        "   cov (never zeroed here).  The SpCtx is hoisted out of the loop;",
-        "   only the words a row dirtied are cleared before the next row. */",
-        "static void sp_batch_range(const double *restrict rows,",
-        "                           long long start, long long end,",
-        "                           double *restrict r_out,",
-        "                           uint64_t *restrict cov,",
-        "                           unsigned char *restrict bail_out) {",
+        "/* n rows: r/bail per row, cov_out the union of the covered bits of",
+        "   the non-bailed rows.  The SpCtx is hoisted out of the loop; its",
+        "   covered words are cleared as they are merged into cov_out. */",
+        "void sp_batch(const double *restrict rows, long long n,",
+        "              double *restrict r_out, uint64_t *restrict cov_out,",
+        "              unsigned char *restrict bail_out) {",
         "    SpCtx ctx;",
         "    memset(ctx.cov, 0, sizeof ctx.cov);",
-        "    for (long long i = start; i < end; i++) {",
+        "    for (int w = 0; w < SP_NWORDS; w++) cov_out[w] = 0;",
+        "    for (long long i = 0; i < n; i++) {",
         f"        const double *restrict row = rows + i * {arity};",
         "        ctx.r = 1.0;",
         "        ctx.status = 0;",
@@ -343,74 +325,9 @@ def render_c(ir: ProgramIR) -> str:
         "        bail_out[i] = 0;",
         "        r_out[i] = ctx.r;",
         "        for (int w = 0; w < SP_NWORDS; w++) {",
-        "            cov[w] |= ctx.cov[w];",
+        "            cov_out[w] |= ctx.cov[w];",
         "            ctx.cov[w] = 0;",
         "        }",
-        "    }",
-        "}",
-        "",
-        "void sp_batch(const double *rows, long long n, double *r_out,",
-        "              uint64_t *cov_out, unsigned char *bail_out) {",
-        "    for (int w = 0; w < SP_NWORDS; w++) cov_out[w] = 0;",
-        "    sp_batch_range(rows, 0, n, r_out, cov_out, bail_out);",
-        "}",
-        "",
-        "typedef struct {",
-        "    const double *rows;",
-        "    long long start;",
-        "    long long end;",
-        "    double *r_out;",
-        "    unsigned char *bail_out;",
-        "    uint64_t cov[SP_NWORDS];",
-        "} SpMtChunk;",
-        "",
-        "static void *sp_mt_main(void *arg) {",
-        "    SpMtChunk *chunk = (SpMtChunk *)arg;",
-        "    sp_batch_range(chunk->rows, chunk->start, chunk->end,",
-        "                   chunk->r_out, chunk->cov, chunk->bail_out);",
-        "    return 0;",
-        "}",
-        "",
-        "/* Threaded batch: rows split across n_threads pthread workers with",
-        "   the engine's size+rest partition; private coverage partials are",
-        "   OR-merged in thread-index order, so results are bit-identical",
-        "   for any thread count.  cov_out is an in/out accumulator and is",
-        "   never zeroed here. */",
-        "void sp_batch_mt(const double *rows, long long n, long long n_threads,",
-        "                 double *r_out, uint64_t *cov_out,",
-        "                 unsigned char *bail_out) {",
-        "    if (n_threads > n) n_threads = n;",
-        "    if (n_threads > SP_MT_MAX) n_threads = SP_MT_MAX;",
-        "    if (n_threads <= 1) {",
-        "        sp_batch_range(rows, 0, n, r_out, cov_out, bail_out);",
-        "        return;",
-        "    }",
-        "    SpMtChunk chunks[SP_MT_MAX];",
-        "    pthread_t threads[SP_MT_MAX];",
-        "    int started[SP_MT_MAX];",
-        "    long long size = n / n_threads;",
-        "    long long rest = n % n_threads;",
-        "    long long pos = 0;",
-        "    for (long long t = 0; t < n_threads; t++) {",
-        "        long long count = size + (t < rest ? 1 : 0);",
-        "        chunks[t].rows = rows;",
-        "        chunks[t].start = pos;",
-        "        chunks[t].end = pos + count;",
-        "        chunks[t].r_out = r_out;",
-        "        chunks[t].bail_out = bail_out;",
-        "        memset(chunks[t].cov, 0, sizeof chunks[t].cov);",
-        "        pos += count;",
-        "    }",
-        "    for (long long t = 0; t < n_threads; t++) {",
-        "        started[t] = pthread_create(&threads[t], 0, sp_mt_main,",
-        "                                    &chunks[t]) == 0;",
-        "        if (!started[t]) sp_mt_main(&chunks[t]); /* run inline */",
-        "    }",
-        "    /* Join and OR-merge partials in fixed thread-index order. */",
-        "    for (long long t = 0; t < n_threads; t++) {",
-        "        if (started[t]) pthread_join(threads[t], 0);",
-        "        for (int w = 0; w < SP_NWORDS; w++)",
-        "            cov_out[w] |= chunks[t].cov[w];",
         "    }",
         "}",
         "",

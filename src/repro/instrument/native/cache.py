@@ -20,8 +20,9 @@ import threading
 from pathlib import Path
 
 #: Bump when the emitter/backend changes generated code or the entry ABI.
-#: 2: sp_batch_mt threaded entry + in/out cov accumulator + restrict loop.
-ABI_VERSION = 2
+#: 2: threaded batch entry + in/out cov accumulator + restrict loop.
+#: 3: threaded entry removed; the serial sp_batch loop is the only batch entry.
+ABI_VERSION = 3
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
 #: its .c source next to the .so for debuggability).  Overridable per
@@ -74,7 +75,6 @@ def _cflags() -> list[str]:
         "-shared",
         "-std=c99",
         "-ffp-contract=off",
-        "-pthread",
     ]
 
 

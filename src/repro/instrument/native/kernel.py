@@ -45,8 +45,7 @@ class _LoadedKernel:
     """One compiled-and-loaded shared object (immutable, thread-shareable)."""
 
     __slots__ = ("digest", "so_path", "lib", "sp_entry", "sp_batch",
-                 "sp_batch_mt", "arity", "n_words", "bail_sites",
-                 "freeze_sites")
+                 "arity", "n_words", "bail_sites", "freeze_sites")
 
     def __init__(self, digest, so_path, lib, arity, n_words,
                  bail_sites, freeze_sites):
@@ -64,14 +63,8 @@ class _LoadedKernel:
         batch.restype = None
         batch.argtypes = [_C_DOUBLE_P, ctypes.c_longlong, _C_DOUBLE_P,
                           _C_U64_P, _C_U8_P]
-        batch_mt = lib.sp_batch_mt
-        batch_mt.restype = None
-        batch_mt.argtypes = [_C_DOUBLE_P, ctypes.c_longlong,
-                             ctypes.c_longlong, _C_DOUBLE_P, _C_U64_P,
-                             _C_U8_P]
         self.sp_entry = entry
         self.sp_batch = batch
-        self.sp_batch_mt = batch_mt
 
 
 def kernel_digest(units, saturated_mask: int, epsilon: float) -> str:
@@ -182,41 +175,17 @@ def _load(units, entry_name, arity, n_conditionals, namespace,
     return loaded
 
 
-class CovAccumulator:
-    """Caller-held covered-bits accumulator for incremental reduction.
-
-    The threaded batch entry (``sp_batch_mt``) treats its coverage output
-    as an in/out buffer — OR-ing into it without zeroing — so a caller that
-    holds one accumulator across calls never re-unions bits it has already
-    seen.  After each call, :attr:`covered` is the running union and the
-    kernel returns only the *newly*-set mask, which
-    :meth:`SaturationTracker.add_covered_mask
-    <repro.core.saturation.SaturationTracker.add_covered_mask>` consumes
-    directly."""
-
-    __slots__ = ("n_words", "words", "covered")
-
-    def __init__(self, n_words: int):
-        self.n_words = n_words
-        self.words = np.zeros(n_words, dtype=np.uint64)
-        self.covered = 0  # running union, including scalar-fallback bits
-
-
 class NativeKernel:
     """One loaded native evaluator bound to a program's specialized variant.
 
-    ``kernel(X)`` maps an ``(N, arity)`` float64 array to ``(r, covered)``,
-    where ``r`` is the raw penalty vector (callers clamp) and ``covered``
-    the union covered-bit summary over all rows.  ``kernel(X, n_threads=k)`` evaluates
-    the rows on ``k`` native threads with bit-identical results (private
-    per-thread coverage partials, merged in thread-index order).  Passing a
-    :class:`CovAccumulator` switches the coverage return to the
-    newly-set-bits delta (incremental reduction).  Rows the native code
-    flags as bailed (a construct whose bit-exact CPython semantics the
-    emitter could not prove) are transparently re-run on the scalar
-    specialized variant, so results never depend on the emitter's coverage
-    being perfect.  :meth:`scalar` is the one-row entry point used by
-    ``evaluate``.
+    ``kernel(X)`` maps an ``(N, arity)`` float64 array to ``(r, covered)``
+    with one serial ``sp_batch`` call, where ``r`` is the raw penalty vector
+    (callers clamp) and ``covered`` the union covered-bit summary over all
+    rows.  Rows the native code flags as bailed (a construct whose bit-exact
+    CPython semantics the emitter could not prove) are transparently re-run
+    on the scalar specialized variant, so results never depend on the
+    emitter's coverage being perfect.  :meth:`scalar` is the one-row entry
+    point used by ``evaluate``.
     """
 
     __slots__ = ("variant", "loaded", "saturated_mask", "epsilon", "arity")
@@ -251,32 +220,20 @@ class NativeKernel:
         _value, r = variant.run(args)
         return r, variant.covered_mask()
 
-    def new_accumulator(self) -> CovAccumulator:
-        """A fresh caller-held accumulator for incremental reduction."""
-        return CovAccumulator(self.loaded.n_words)
-
-    def __call__(self, X, n_threads: int = 1, accumulator=None):
-        """Evaluate a batch: ``(r, covered)``.
-
-        Without an accumulator, ``covered`` is the union over this call's
-        rows.  With one, the native code ORs into the accumulator's word
-        buffer (never zeroed) and ``covered`` is only the newly-set mask;
-        ``accumulator.covered`` holds the running union."""
+    def __call__(self, X):
+        """Evaluate a batch: ``(r, covered)``, ``covered`` the union over
+        this call's rows."""
         X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         n = X.shape[0]
         if X.shape[1] != self.arity:
             raise ValueError(f"expected {self.arity} columns, got {X.shape[1]}")
         n_words = self.loaded.n_words
         r = np.empty(n, dtype=np.float64)
-        cov = accumulator.words if accumulator is not None else np.zeros(
-            n_words, dtype=np.uint64)
+        cov = np.zeros(n_words, dtype=np.uint64)
         bail = np.empty(n, dtype=np.uint8)
-        # sp_batch_mt never zeroes cov (in/out accumulator contract);
-        # results are bit-identical to sp_batch for any thread count.
-        self.loaded.sp_batch_mt(
+        self.loaded.sp_batch(
             X.ctypes.data_as(_C_DOUBLE_P),
             ctypes.c_longlong(n),
-            ctypes.c_longlong(max(1, int(n_threads))),
             r.ctypes.data_as(_C_DOUBLE_P),
             cov.ctypes.data_as(_C_U64_P),
             bail.ctypes.data_as(_C_U8_P),
@@ -289,11 +246,7 @@ class NativeKernel:
                 row_r, row_cov = self._scalar_fallback(X[row_index].tolist())
                 r[row_index] = row_r
                 covered |= row_cov
-        if accumulator is None:
-            return r, covered
-        new_mask = covered & ~accumulator.covered
-        accumulator.covered |= covered
-        return r, new_mask
+        return r, covered
 
 
 def build_native_kernel(program, saturated_mask: int,
@@ -328,7 +281,6 @@ def build_native_kernel(program, saturated_mask: int,
 
 
 __all__ = [
-    "CovAccumulator",
     "NativeKernel",
     "build_native_kernel",
     "clear_native_cache",

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.optimize.local import get_local_minimizer
 from repro.optimize.mcmc import metropolis_accept, propose_perturbation
-from repro.optimize.memo import BitPatternMemo
 from repro.optimize.result import OptimizeResult
 
 
@@ -31,8 +30,6 @@ def basinhopping(
     rng: Optional[np.random.Generator] = None,
     callback: Optional[Callable[[np.ndarray, float, bool], bool]] = None,
     local_options: Optional[dict] = None,
-    memoize: bool = False,
-    proposal_population: int = 1,
 ) -> OptimizeResult:
     """Minimize ``func`` with MCMC basin-hopping (Algorithm 1, lines 24-34).
 
@@ -48,24 +45,10 @@ def basinhopping(
         callback: Called after every iteration with ``(x, f, accepted)``;
             returning ``True`` stops the loop (the paper's ``call_back``).
         local_options: Extra keyword options forwarded to the local minimizer.
-        memoize: Serve repeated evaluations at bit-identical inputs from a
-            :class:`~repro.optimize.memo.BitPatternMemo` instead of
-            re-executing ``func``.  Values (and hence the seeded search
-            trajectory) are unchanged; only sound when ``func`` is
-            deterministic for the duration of this call.
-        proposal_population: Perturbation candidates screened per Monte-Carlo
-            move.  At the default 1 the hop uses the single perturbation
-            directly and the trajectory is exactly the historical one.  For
-            ``K > 1`` the hop draws ``K`` perturbations (sequential ``rng``
-            draws), evaluates them in one ``func.evaluate_batch`` call when
-            the objective offers it (per-candidate calls otherwise), and
-            descends from the best-scoring candidate (first wins on ties).
 
     Returns:
         The best :class:`~repro.optimize.result.OptimizeResult` seen.
     """
-    if proposal_population < 1:
-        raise ValueError("proposal_population must be >= 1")
     rng = rng if rng is not None else np.random.default_rng()
     minimize = (
         local_minimizer
@@ -75,8 +58,6 @@ def basinhopping(
     options = dict(local_options or {})
 
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if memoize:
-        func = BitPatternMemo(func, arity=x0.shape[0])
     nfev = 0
 
     # Line 25: descend to the first local minimum.
@@ -94,28 +75,7 @@ def basinhopping(
     while not stopped_early and iterations < n_iter:
         iterations += 1
         # Lines 27-28: Monte-Carlo move followed by local minimization.
-        if proposal_population == 1:
-            perturbed = propose_perturbation(rng, x_current, step_size=step_size)
-        else:
-            # Vectorized-proposal path: screen a whole perturbation
-            # population with one batched objective call, then descend from
-            # the winner.  With a memoized objective the screening values
-            # seed the cache, so the local minimizer's first evaluation at
-            # the winner is a hit.
-            candidates = np.ascontiguousarray(
-                [
-                    propose_perturbation(rng, x_current, step_size=step_size)
-                    for _ in range(proposal_population)
-                ],
-                dtype=np.float64,
-            )
-            batch = getattr(func, "evaluate_batch", None)
-            if batch is not None:
-                scores = np.asarray(batch(candidates), dtype=np.float64)
-            else:
-                scores = np.array([func(c) for c in candidates], dtype=np.float64)
-            nfev += proposal_population
-            perturbed = candidates[int(np.argmin(scores))]
+        perturbed = propose_perturbation(rng, x_current, step_size=step_size)
         proposal = minimize(func, perturbed, **options)
         nfev += proposal.nfev
         # Lines 29-33: Metropolis acceptance.

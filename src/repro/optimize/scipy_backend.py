@@ -14,7 +14,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import optimize as _scipy_optimize
 
-from repro.optimize.memo import BitPatternMemo
 from repro.optimize.result import OptimizeResult
 
 
@@ -28,21 +27,9 @@ def scipy_basinhopping(
     rng: Optional[np.random.Generator] = None,
     callback: Optional[Callable[[np.ndarray, float, bool], bool]] = None,
     local_options: Optional[dict] = None,
-    memoize: bool = False,
-    proposal_population: int = 1,
 ) -> OptimizeResult:
-    """Run ``scipy.optimize.basinhopping`` with the paper's configuration.
-
-    ``proposal_population`` is accepted for interface parity with the
-    built-in backend but deliberately ignored: SciPy's basinhopping owns its
-    own proposal loop, so candidate screening cannot be injected without
-    changing the paper's published configuration.
-    """
-    if proposal_population < 1:
-        raise ValueError("proposal_population must be >= 1")
+    """Run ``scipy.optimize.basinhopping`` with the paper's configuration."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if memoize:
-        func = BitPatternMemo(func, arity=x0.shape[0])
     seed = None
     if rng is not None:
         seed = int(rng.integers(0, 2**31 - 1))

@@ -81,7 +81,7 @@ TOOL_FACTORIES: dict[str, Callable[[Profile], object]] = {
 #: selects *which* jobs run, and the engine guarantees seeded results are
 #: identical for every worker count.
 _PROFILE_FP_EXCLUDE = frozenset(
-    {"name", "max_cases", "n_workers", "eval_profile", "native_threads"}
+    {"name", "max_cases", "n_workers", "eval_profile"}
 )
 
 #: Tool state excluded from fingerprints: mutable run-to-run scratch, and
@@ -90,8 +90,8 @@ _PROFILE_FP_EXCLUDE = frozenset(
 #: ``eval_profile`` -- like ``n_workers`` -- cannot change stored results;
 #: ``progress`` is a pure observer the service attaches to stream events).
 _TOOL_FP_EXCLUDE = frozenset(
-    {"last_evaluations", "n_workers", "worker_mode", "verbose", "eval_profile",
-     "native_threads", "progress", "pool_factory"}
+    {"last_evaluations", "n_workers", "worker_mode", "eval_profile", "progress",
+     "pool_factory"}
 )
 
 

@@ -90,8 +90,7 @@ class TestProtocol:
             backend="scipy", local_minimizer="powell", n_iter=3,
             step_size=1.0 / 3.0, temperature=math.pi, local_max_iterations=7,
             zero_tolerance=5e-324, epsilon=1e-16, root_seed=42,
-            deadline=None, eval_profile="penalty-only", memoize=True,
-            proposal_population=2, native_threads=3,
+            deadline=None, eval_profile="penalty-native",
         )
         assert decode_params(json.loads(json.dumps(encode_params(params)))) == params
 

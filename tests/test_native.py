@@ -2,13 +2,12 @@
 
 The contract under test is cross-tier bit-identity: for any program, any
 saturation mask and any input row -- NaN, infinities, denormals, huge-int
-word patterns included -- the native scalar entry point, the native batch
-entry point (serial *and* threaded, ``n_threads`` in {1, 2, 4}), the scalar
-``PENALTY_SPECIALIZED`` variant and the reference recording
-:class:`~repro.instrument.runtime.Runtime` must compute the same ``r``
-bit-for-bit and the same covered-branch sets.  On top of that sit the
-caller-held covered-bit accumulator (incremental reduction), the
-kernel/digest caches (including the ``-O3`` flag tier), the background
+word patterns included -- the native scalar entry point, the serial native
+batch entry point, the scalar ``PENALTY_SPECIALIZED`` variant and the
+reference recording :class:`~repro.instrument.runtime.Runtime` must compute
+the same ``r`` bit-for-bit and the same covered-branch sets.  On top of
+that sit the emitted C's exported surface, the kernel/digest caches
+(including the ``-O3`` flag tier), the background
 compiler (kernel absent: the specialized tier serves, no warning, and the
 kernel swaps in once ``cc`` lands), the ``NativeUnavailable`` degradation
 (no compiler: one per-instance warning, identical results through the
@@ -26,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import struct
 import threading
 import warnings
@@ -40,6 +40,7 @@ from repro.core.saturation import SaturationTracker
 from repro.engine.core import SearchEngine
 from repro.experiments.pipeline import _TOOL_FP_EXCLUDE, tool_fingerprint
 from repro.experiments.runner import instrument_case
+from repro.fdlibm.s_tanh import fdlibm_tanh
 from repro.fdlibm.suite import BENCHMARKS
 from repro.instrument.native.cache import (
     NativeUnavailable,
@@ -54,6 +55,8 @@ from repro.instrument.native.cache import (
     opt_tier,
     wait_for_background,
 )
+from repro.instrument.native.c_backend import render_c
+from repro.instrument.native.emit import emit_program_ir
 from repro.instrument.native.kernel import (
     build_native_kernel,
     clear_native_cache,
@@ -124,25 +127,11 @@ def _adversarial_rows(rng, target, arity: int, n_random: int) -> np.ndarray:
 def _assert_native_parity(program, mask: int, X: np.ndarray) -> None:
     """Native scalar == native batch == specialized == reference, row for row.
 
-    The batch check runs the threaded entry at ``n_threads`` in {1, 2, 4}
-    and the caller-held accumulator on top of the serial loop: every
-    combination must produce bit-identical ``r`` rows and the same covered
-    set (the accumulator reporting the full union on first use and the
-    empty delta on repetition)."""
+    The batch leg is one serial ``sp_batch`` call: every row's ``r`` must
+    be bit-identical to the scalar tiers and the returned covered set must
+    be the union of the per-row sets."""
     kernel = program.native_kernel(mask)
     r_batch, cov_batch = kernel(X)
-    r_bits = r_batch.view(np.uint64)
-    for n_threads in (2, 4):
-        r_mt, cov_mt = kernel(X, n_threads=n_threads)
-        context = (program.name, hex(mask), n_threads)
-        assert np.array_equal(r_bits, r_mt.view(np.uint64)), context
-        assert cov_mt == cov_batch, context
-    acc = kernel.new_accumulator()
-    r_acc, new_mask = kernel(X, n_threads=2, accumulator=acc)
-    assert np.array_equal(r_bits, r_acc.view(np.uint64))
-    assert new_mask == cov_batch and acc.covered == cov_batch
-    _r_again, again = kernel(X, n_threads=4, accumulator=acc)
-    assert again == 0  # incremental: nothing newly set on a repeat batch
     cov_union = 0
     for i, row in enumerate(X):
         args = row.tolist()
@@ -265,27 +254,6 @@ class TestRepresentingFunctionNative:
         for i in range(X.shape[0]):
             assert _bits(float(values[i])) == _bits(specialized(X[i]))
 
-    def test_native_threads_change_nothing_but_the_thread_count(self):
-        program = instrument(sp.paper_foo)
-        program.native_kernel(0)
-        X = np.ascontiguousarray([[v] for v in _ADVERSARIAL], dtype=np.float64)
-        outputs = []
-        for n_threads in (1, 2, 4):
-            native = RepresentingFunction(
-                program,
-                SaturationTracker(program),
-                profile=ExecutionProfile.PENALTY_NATIVE,
-                native_threads=n_threads,
-            )
-            assert native.native_threads == n_threads
-            outputs.append(native.evaluate_batch(X).view(np.uint64).tolist())
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_config_validates_native_threads(self):
-        with pytest.raises(ValueError, match="native_threads"):
-            CoverMeConfig(native_threads=0)
-        assert CoverMeConfig(native_threads=4).native_threads == 4
-
     def test_epoch_protocol_respecializes_only_on_mask_flip(self):
         program, native, _ = self._pair(sp.paper_foo)
         tracker = native.tracker
@@ -312,6 +280,23 @@ class TestRepresentingFunctionNative:
 
 
 @requires_cc
+class TestEmittedSource:
+    @pytest.mark.parametrize("target", [sp.paper_foo, fdlibm_tanh])
+    def test_exports_only_the_scalar_and_serial_batch_entries(self, target):
+        program = instrument(target)
+        variant = program.specialize(0)
+        ir = emit_program_ir(
+            program.units, program.name, program.arity, program.n_conditionals,
+            variant.namespace, variant.saturated_mask, variant.epsilon,
+        )
+        source = render_c(ir)
+        assert "pthread" not in source
+        # Every helper is ``static``; a top-level definition without it is
+        # an exported symbol.
+        exported = re.findall(r"^(?:int|void)\s+(\w+)\(", source, flags=re.MULTILINE)
+        assert exported == ["sp_entry", "sp_batch"]
+
+
 class TestCachesAndDigest:
     _UNIT = ("def f(x):\n    return x\n", "f", "L0")
 
@@ -823,13 +808,3 @@ class TestFingerprintNeutrality:
         assert tool_fingerprint(FakeTool("penalty-native")) == tool_fingerprint(
             FakeTool("penalty-specialized")
         )
-
-    def test_native_threads_excluded_from_tool_fingerprints(self):
-        assert "native_threads" in _TOOL_FP_EXCLUDE
-
-        @dataclasses.dataclass
-        class FakeTool:
-            native_threads: int
-            depth: int = 3
-
-        assert tool_fingerprint(FakeTool(1)) == tool_fingerprint(FakeTool(4))

@@ -5,18 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import CoverMeConfig
-from repro.core.representing import RepresentingFunction
-from repro.core.saturation import SaturationTracker
-from repro.engine.core import SearchEngine
 from repro.experiments.figure2 import FIGURE2B_MINIMA, figure2b_objective
-from repro.instrument.program import instrument
-from repro.instrument.runtime import ExecutionProfile
 from repro.optimize.basinhopping import basinhopping
 from repro.optimize.mcmc import metropolis_accept, propose_perturbation
 from repro.optimize.result import OptimizeResult, evaluate_counted
 from repro.optimize.scipy_backend import scipy_basinhopping
-from tests import sample_programs as sp
 
 
 def multimodal(x):
@@ -123,60 +116,3 @@ class TestOptimizeResult:
         assert wrapped(3) == 6
         assert wrapped(4) == 8
         assert counter[0] == 2
-
-
-class TestProposalPopulation:
-    def _objective(self):
-        program = instrument(sp.paper_foo)
-        return RepresentingFunction(
-            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_SPECIALIZED
-        )
-
-    def test_population_one_is_the_historical_trajectory(self):
-        a = basinhopping(
-            self._objective(), [3.0], n_iter=4, rng=np.random.default_rng(9), memoize=True
-        )
-        b = basinhopping(
-            self._objective(),
-            [3.0],
-            n_iter=4,
-            rng=np.random.default_rng(9),
-            memoize=True,
-            proposal_population=1,
-        )
-        assert a.fun == b.fun and tuple(a.x) == tuple(b.x) and a.nfev == b.nfev
-
-    def test_batched_and_loop_screening_agree(self):
-        results = []
-        for use_batch in (True, False):
-            objective = self._objective()
-            if not use_batch:
-                objective = objective.__call__  # plain callable: loop fallback
-            result = basinhopping(
-                objective,
-                [3.0],
-                n_iter=4,
-                rng=np.random.default_rng(9),
-                proposal_population=5,
-            )
-            results.append((result.fun, tuple(result.x), result.nfev))
-        assert results[0] == results[1]
-
-    def test_population_must_be_positive(self):
-        with pytest.raises(ValueError):
-            basinhopping(lambda x: 0.0, [1.0], proposal_population=0)
-        with pytest.raises(ValueError):
-            CoverMeConfig(proposal_population=0)
-
-    def test_proposal_population_runs_and_covers(self):
-        config = CoverMeConfig(
-            n_start=16,
-            n_iter=2,
-            seed=13,
-            eval_profile="penalty-specialized",
-            proposal_population=4,
-            n_workers=1,
-            worker_mode="serial",
-        )
-        result = SearchEngine(instrument(sp.paper_foo), config).run()
-        assert result.covered  # covered branches found

@@ -2,8 +2,7 @@
 
 The contract: execution profiles are a pure performance knob.  Seeded engine
 runs must produce bit-identical covered/saturated branch sets and generated
-inputs for every profile, every worker count and with or without the
-bit-pattern memo cache.
+inputs for every profile and every worker count.
 """
 
 from __future__ import annotations
@@ -46,11 +45,6 @@ class TestEngineProfileDeterminism:
                 )
                 assert got == baseline, (profile, n_workers, mode)
 
-    def test_memoization_does_not_change_results(self):
-        with_memo = run_sets(kernel_cos, memoize=True)
-        without = run_sets(kernel_cos, memoize=False)
-        assert with_memo == without
-
     def test_default_profile_is_specialized(self):
         from repro.engine.worker import StartParams
         from repro.experiments.runner import PROFILES
@@ -84,6 +78,25 @@ class TestEngineProfileDeterminism:
             main(["run", "table2", "--ephemeral", "--eval-profile", removed])
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("removed", ["memoize", "proposal_population", "native_threads"])
+    def test_removed_options_rejected_by_config(self, removed):
+        from repro.experiments.runner import PROFILES
+
+        with pytest.raises(TypeError, match=removed):
+            CoverMeConfig(**{removed: 1})
+        if removed != "memoize":
+            with pytest.raises(TypeError, match=removed):
+                dataclasses.replace(PROFILES["smoke"], **{removed: 1})
+
+    @pytest.mark.parametrize("removed", ["--proposal-population", "--native-threads"])
+    def test_removed_options_rejected_by_cli(self, removed, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "table2", "--ephemeral", removed, "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestRepresentingProfiles:
@@ -155,12 +168,3 @@ class TestRepresentingProfiles:
         _, _, record = program.run((0.7,), runtime=Runtime())
         tracker.add_execution(record)
         assert tracker.saturated_mask == branch_mask(tracker.saturated)
-
-    def test_add_covered_mask_roundtrip(self):
-        from repro.instrument.runtime import BranchId, branch_mask
-
-        program = instrument(sp.paper_foo)
-        tracker = SaturationTracker(program)
-        new = tracker.add_covered_mask(branch_mask({BranchId(0, True), BranchId(1, False)}))
-        assert new == {BranchId(0, True), BranchId(1, False)}
-        assert tracker.covered == {BranchId(0, True), BranchId(1, False)}

@@ -153,6 +153,9 @@ class TestRejections:
             # eval profiles that no longer exist
             {"case": CASE_KEY, "profile": "det-http", "overrides": {"eval_profile": "penalty"}},
             {"case": CASE_KEY, "profile": "det-http", "overrides": {"eval_profile": "coverage"}},
+            # profile fields that no longer exist
+            {"case": CASE_KEY, "profile": "det-http", "overrides": {"proposal_population": 2}},
+            {"case": CASE_KEY, "profile": "det-http", "overrides": {"native_threads": 2}},
         ],
     )
     def test_bad_submissions_are_400(self, daemon, body):
@@ -160,6 +163,9 @@ class TestRejections:
         with pytest.raises(ClientError) as excinfo:
             client._request("POST", "/jobs", body)
         assert excinfo.value.status == 400
+        overrides = body.get("overrides")
+        if isinstance(overrides, dict) and "eval_profile" not in overrides:
+            assert "unknown profile override" in excinfo.value.payload["error"]
 
     def test_invalid_json_body_is_400(self, daemon):
         client, _ = daemon
