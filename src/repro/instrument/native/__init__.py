@@ -17,9 +17,10 @@ code:
   compilation via the system ``cc`` and a content-addressed, FIFO-bounded
   shared-object cache on disk, loaded with :mod:`ctypes`.
 * :mod:`repro.instrument.native.kernel` -- :class:`NativeKernel`, the
-  runtime object the representing function dispatches to, with a per-row
-  fallback onto the scalar :class:`SpecializedVariant` for inputs the native
-  code cannot replicate bit-exactly (``sp_bail``).
+  runtime object the representing function dispatches to, loaded by digest
+  from the disk cache (emission runs only on a miss), with a per-row
+  fallback onto the scalar :class:`SpecializedVariant`, built on the first
+  input the native code cannot replicate bit-exactly (``sp_bail``).
 
 ``r`` stays bit-identical to the scalar ``PENALTY_SPECIALIZED`` tier: every
 construct either compiles to arithmetic proven to match CPython's, freezes

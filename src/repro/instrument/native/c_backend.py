@@ -13,6 +13,11 @@ uint64_t *cov_out, unsigned char *bail_out)``
     union of covered bits over the non-bailed rows; ``bail_out[i]`` flags
     rows the caller must redo.
 
+``const long long sp_meta[4]``
+    ``{arity, n_words, bail_sites, freeze_sites}``: what the loader needs
+    to call the entries, read straight from a cached ``.so`` so a warm load
+    never re-runs the emitter.
+
 All per-row state lives in a context struct on the caller's stack, so one
 shared object is safely callable from many threads at once.  The batch row
 loop hoists the context out of the loop and ``restrict``-qualifies the
@@ -284,6 +289,9 @@ def render_c(ir: ProgramIR) -> str:
         _render_fn(fn, lines)
     arity = len(ir.entry.params)
     lines += [
+        f"const long long sp_meta[4] = {{ {arity}, {ir.n_words}, "
+        f"{ir.bail_sites}, {ir.freeze_sites} }};",
+        "",
         "int sp_entry(const double *x, double *r_out, uint64_t *cov_out) {",
         "    SpCtx ctx;",
         "    ctx.r = 1.0;",

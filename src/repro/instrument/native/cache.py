@@ -5,8 +5,9 @@ cache directory keyed by a sha256 digest of everything that affects the
 generated code: per-unit ``(source sha256, function, start label)`` triples,
 the saturation mask, epsilon, the backend name, the compiler version and
 the codegen ABI version.  Identical programs under identical masks reuse
-the ``.so`` across processes and sessions; the directory is FIFO-bounded
-by mtime like the in-memory compiled caches.
+the ``.so`` across processes and sessions: the loader opens a cached
+``<digest>.so`` directly and compiles only on a miss.  The directory is
+FIFO-bounded by mtime like the in-memory compiled caches.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from pathlib import Path
 #: Bump when the emitter/backend changes generated code or the entry ABI.
 #: 2: threaded batch entry + in/out cov accumulator + restrict loop.
 #: 3: threaded entry removed; the serial sp_batch loop is the only batch entry.
-ABI_VERSION = 3
+#: 4: ``sp_meta`` export; warm loads skip emission.
+ABI_VERSION = 4
 
 #: Default upper bound on cached shared objects on disk (each entry keeps
 #: its .c source next to the .so for debuggability).  Overridable per

@@ -1,22 +1,32 @@
 """Build, cache and run native penalty kernels (``PENALTY_NATIVE``).
 
-:func:`build_native_kernel` builds the scalar
-:class:`~repro.instrument.program.SpecializedVariant` first (it is the
-per-row bail target and supplies the namespace whose constants the emitter
-folds), then the typed IR is emitted, rendered to C99, compiled into the
-content-addressed disk cache and loaded with :mod:`ctypes`.  Loaded
-kernels are cached module-wide per digest with the same hit/miss/evict
-bookkeeping as the specialized cache.
+:func:`build_native_kernel` loads a kernel by its content digest: when
+``<digest>.so`` is already in the disk cache it is opened with
+:mod:`ctypes` and its shape (arity, coverage words, bail/freeze site
+counts) is read from the exported ``sp_meta`` array, so a warm load is one
+``dlopen``.  Only a disk miss builds the scalar
+:class:`~repro.instrument.program.SpecializedVariant` (its namespace
+supplies the constants the emitter folds), emits the typed IR, renders it
+to C99 and compiles it into the cache.  A cached ``.so`` that does not load
+is removed and rebuilt once.  Loaded kernels are cached module-wide per
+digest with the same hit/miss/evict bookkeeping as the specialized cache.
+
+The variant that bailed rows re-run on is built on a kernel's first bail,
+not at load time: most kernels never bail.
 
 The generated code keeps all state in a per-call stack context, so one
-loaded kernel is safely shared across threads; worker processes re-open the
-same ``.so`` from disk without recompiling.
+loaded kernel is safely shared across threads; :meth:`NativeKernel.scalar`
+keeps its argument buffers per thread.  Worker processes re-open the same
+``.so`` from disk without recompiling.
 """
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import hashlib
+import os
+import struct
 import threading
 
 import numpy as np
@@ -26,6 +36,7 @@ from repro.instrument.native.c_backend import BACKEND_NAME, render_c
 from repro.instrument.native.cache import (
     ABI_VERSION,
     NativeUnavailable,
+    _cleanup,
     compile_kernel,
     compile_kernel_background,
     cc_version,
@@ -47,24 +58,62 @@ class _LoadedKernel:
     __slots__ = ("digest", "so_path", "lib", "sp_entry", "sp_batch",
                  "arity", "n_words", "bail_sites", "freeze_sites")
 
-    def __init__(self, digest, so_path, lib, arity, n_words,
-                 bail_sites, freeze_sites):
+    def __init__(self, digest, so_path):
+        """Open ``so_path``; raises ``OSError`` when it does not load and
+        ``ValueError`` when it exports no ``sp_meta``."""
+        if _elf_truncated(so_path):
+            raise OSError(f"{so_path}: truncated shared object")
+        lib = ctypes.CDLL(str(so_path))
+        try:
+            meta = (ctypes.c_longlong * 4).in_dll(lib, "sp_meta")
+        except ValueError:
+            # Unload it: dlopen of a path already loaded returns the loaded
+            # object, so a rebuild at this path would otherwise never be read.
+            _ctypes.dlclose(lib._handle)
+            raise
         self.digest = digest
         self.so_path = so_path
         self.lib = lib
-        self.arity = arity
-        self.n_words = n_words
-        self.bail_sites = bail_sites
-        self.freeze_sites = freeze_sites
+        self.arity, self.n_words, self.bail_sites, self.freeze_sites = meta
+        # Exact array types rather than pointers: ctypes passes an instance
+        # of the declared array type without converting it, which halves
+        # the cost of the scalar call.  _ScalarBuffers allocates them.
         entry = lib.sp_entry
         entry.restype = ctypes.c_int
-        entry.argtypes = [_C_DOUBLE_P, _C_DOUBLE_P, _C_U64_P]
+        entry.argtypes = [ctypes.c_double * self.arity, ctypes.c_double * 1,
+                          ctypes.c_uint64 * self.n_words]
         batch = lib.sp_batch
         batch.restype = None
         batch.argtypes = [_C_DOUBLE_P, ctypes.c_longlong, _C_DOUBLE_P,
                           _C_U64_P, _C_U8_P]
         self.sp_entry = entry
         self.sp_batch = batch
+
+
+def _elf_truncated(so_path) -> bool:
+    """Does the ELF file ``so_path`` end before its section header table?
+
+    ``dlopen`` maps the segments of a truncated shared object past the end
+    of the file and the process dies of SIGBUS when it touches them, so a
+    cut-short file must be caught before it is loaded.  A complete file
+    contains its section header table, which the linker writes last, so a
+    cut almost anywhere shows.  Files that are not ELF are left to
+    ``dlopen``."""
+    with open(so_path, "rb") as handle:
+        header = handle.read(64)
+        size = os.fstat(handle.fileno()).st_size
+    if header[:4] != b"\x7fELF":
+        return False
+    if len(header) < 64:  # no shared object is shorter than this
+        return True
+    order = "<" if header[5] == 1 else ">"
+    if header[4] == 2:  # ELFCLASS64
+        (sh_offset,) = struct.unpack_from(order + "Q", header, 0x28)
+        sh_entsize, sh_count = struct.unpack_from(order + "HH", header, 0x3A)
+    else:
+        (sh_offset,) = struct.unpack_from(order + "I", header, 0x20)
+        sh_entsize, sh_count = struct.unpack_from(order + "HH", header, 0x2E)
+    return size < sh_offset + sh_entsize * sh_count
 
 
 def kernel_digest(units, saturated_mask: int, epsilon: float) -> str:
@@ -127,9 +176,8 @@ def clear_native_cache() -> None:
             _NATIVE_CACHE_STATS[key] = 0
 
 
-def _load(units, entry_name, arity, n_conditionals, namespace,
-          saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
-    digest = kernel_digest(units, saturated_mask, epsilon)
+def _load(program, saturated_mask, epsilon, wait: bool = True) -> _LoadedKernel:
+    digest = kernel_digest(program.units, saturated_mask, epsilon)
     with _NATIVE_CACHE_LOCK:
         cached = _NATIVE_CACHE.get(digest)
         if cached is not None:
@@ -141,28 +189,7 @@ def _load(units, entry_name, arity, n_conditionals, namespace,
             raise cached
         return cached
     try:
-        ir = emit_program_ir(units, entry_name, arity, n_conditionals,
-                             namespace, saturated_mask, epsilon)
-        c_source = render_c(ir)
-        if wait:
-            so_path = compile_kernel(c_source, digest)
-        else:
-            # Raises NativeCompiling while the background build runs; that
-            # transient state is never negatively cached (it is not a
-            # NativeUnavailable), so the next poll can pick the kernel up.
-            so_path = compile_kernel_background(c_source, digest)
-        try:
-            lib = ctypes.CDLL(str(so_path))
-        except OSError:
-            # The .so can vanish between the cache lookup and the load when
-            # a concurrent build FIFO-prunes the directory; rebuild once in
-            # the foreground rather than degrading permanently.
-            so_path = compile_kernel(c_source, digest)
-            lib = ctypes.CDLL(str(so_path))
-        loaded = _LoadedKernel(
-            digest, so_path, lib, len(ir.entry.params), ir.n_words,
-            ir.bail_sites, ir.freeze_sites,
-        )
+        loaded = _open_or_build(program, saturated_mask, epsilon, digest, wait)
     except NativeUnavailable as exc:
         with _NATIVE_CACHE_LOCK:
             _NATIVE_CACHE[digest] = exc
@@ -175,27 +202,73 @@ def _load(units, entry_name, arity, n_conditionals, namespace,
     return loaded
 
 
+def _open_or_build(program, saturated_mask, epsilon, digest,
+                   wait) -> _LoadedKernel:
+    """Open ``<digest>.so`` from the disk cache; emit and compile it only
+    when it is missing or does not load."""
+    so_path = native_cache_dir() / f"{digest}.so"
+    if so_path.exists():
+        try:
+            return _LoadedKernel(digest, so_path)
+        except (OSError, ValueError):
+            # Truncated or otherwise corrupt, or pruned by a concurrent
+            # builder since the check: drop it and rebuild once, in the
+            # foreground, rather than crash or serve a stale path.
+            _cleanup(so_path)
+            wait = True
+    variant = program.specialize(saturated_mask, epsilon)
+    ir = emit_program_ir(program.units, program.name, program.arity,
+                         program.n_conditionals, variant.namespace,
+                         saturated_mask, epsilon)
+    c_source = render_c(ir)
+    if wait:
+        so_path = compile_kernel(c_source, digest)
+    else:
+        # Raises NativeCompiling while the background build runs; that
+        # transient state is never negatively cached (it is not a
+        # NativeUnavailable), so the next poll can pick the kernel up.
+        so_path = compile_kernel_background(c_source, digest)
+    try:
+        return _LoadedKernel(digest, so_path)
+    except (OSError, ValueError) as exc:
+        raise NativeUnavailable(
+            f"native kernel {digest[:12]} does not load: {exc}"
+        ) from exc
+
+
+class _ScalarBuffers(threading.local):
+    """One thread's ``sp_entry`` arguments (input row, ``r``, coverage
+    words), allocated on the thread's first call and reused after."""
+
+    def __init__(self, argtypes):
+        self.args = tuple(array_type() for array_type in argtypes)
+
+
 class NativeKernel:
-    """One loaded native evaluator bound to a program's specialized variant.
+    """One loaded native evaluator of a program under one saturation mask.
 
     ``kernel(X)`` maps an ``(N, arity)`` float64 array to ``(r, covered)``
     with one serial ``sp_batch`` call, where ``r`` is the raw penalty vector
     (callers clamp) and ``covered`` the union covered-bit summary over all
     rows.  Rows the native code flags as bailed (a construct whose bit-exact
     CPython semantics the emitter could not prove) are transparently re-run
-    on the scalar specialized variant, so results never depend on the
-    emitter's coverage being perfect.  :meth:`scalar` is the one-row entry
-    point used by ``evaluate``.
+    on the program's scalar specialized variant, built on the first such
+    row, so results never depend on the emitter's coverage being perfect.
+    :meth:`scalar` is the one-row entry point used by ``evaluate``.
     """
 
-    __slots__ = ("variant", "loaded", "saturated_mask", "epsilon", "arity")
+    __slots__ = ("program", "saturated_mask", "epsilon", "loaded", "arity",
+                 "_variant", "_buffers")
 
-    def __init__(self, variant, loaded: _LoadedKernel):
-        self.variant = variant
+    def __init__(self, program, saturated_mask: int, epsilon: float,
+                 loaded: _LoadedKernel):
+        self.program = program
+        self.saturated_mask = saturated_mask
+        self.epsilon = epsilon
         self.loaded = loaded
-        self.saturated_mask = variant.saturated_mask
-        self.epsilon = variant.epsilon
         self.arity = loaded.arity
+        self._variant = None
+        self._buffers = _ScalarBuffers(loaded.sp_entry.argtypes)
 
     @property
     def digest(self) -> str:
@@ -203,20 +276,20 @@ class NativeKernel:
 
     def scalar(self, args) -> tuple[float, int]:
         """Evaluate one row, returning ``(r, covered_mask)`` (raw ``r``)."""
-        arity = self.arity
-        buf = (ctypes.c_double * arity)(*[float(v) for v in args])
-        r_out = ctypes.c_double(0.0)
-        cov = (ctypes.c_uint64 * self.loaded.n_words)()
-        bailed = self.loaded.sp_entry(buf, ctypes.byref(r_out), cov)
-        if bailed:
+        row, r_out, cov = self._buffers.args
+        row[:] = args
+        if self.loaded.sp_entry(row, r_out, cov):
             return self._scalar_fallback(args)
-        covered = 0
-        for word_index in range(self.loaded.n_words):
-            covered |= int(cov[word_index]) << (64 * word_index)
-        return r_out.value, covered
+        covered = cov[0]
+        for word_index in range(1, len(cov)):
+            covered |= cov[word_index] << (64 * word_index)
+        return r_out[0], covered
 
     def _scalar_fallback(self, args) -> tuple[float, int]:
-        variant = self.variant
+        variant = self._variant
+        if variant is None:
+            variant = self.program.specialize(self.saturated_mask, self.epsilon)
+            self._variant = variant
         _value, r = variant.run(args)
         return r, variant.covered_mask()
 
@@ -266,18 +339,9 @@ def build_native_kernel(program, saturated_mask: int,
         raise NativeUnavailable(
             f"program {program.name!r} carries no source units"
         )
-    variant = program.specialize(saturated_mask, epsilon)
-    loaded = _load(
-        program.units,
-        program.name,
-        program.arity,
-        program.n_conditionals,
-        variant.namespace,
-        variant.saturated_mask,
-        variant.epsilon,
-        wait=wait,
-    )
-    return NativeKernel(variant, loaded)
+    mask = saturated_mask & ((1 << (2 * program.n_conditionals)) - 1)
+    loaded = _load(program, mask, epsilon, wait=wait)
+    return NativeKernel(program, mask, epsilon, loaded)
 
 
 __all__ = [

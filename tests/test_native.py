@@ -11,9 +11,11 @@ that sit the emitted C's exported surface, the kernel/digest caches
 compiler (kernel absent: the specialized tier serves, no warning, and the
 kernel swaps in once ``cc`` lands), the ``NativeUnavailable`` degradation
 (no compiler: one per-instance warning, identical results through the
-specialized tier), the ``repro native-cache`` CLI and the engine-level
-identity of ``penalty-native`` vs ``penalty-specialized`` runs across
-worker pools.
+specialized tier), the warm load by digest (no emission, the bail
+fallback variant built on the first bail, per-thread scalar buffers), the
+rebuild of a cached ``.so`` that does not load, the ``repro native-cache``
+CLI and the engine-level identity of ``penalty-native`` vs
+``penalty-specialized`` runs across worker pools.
 
 Every test that needs a C compiler self-skips when none is present, so the
 suite passes on compiler-less machines with the degradation tests carrying
@@ -27,6 +29,7 @@ import math
 import os
 import re
 import struct
+import sys
 import threading
 import warnings
 
@@ -34,14 +37,17 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.branch_distance import DEFAULT_EPSILON
 from repro.core.config import CoverMeConfig
 from repro.core.representing import RepresentingFunction
 from repro.core.saturation import SaturationTracker
 from repro.engine.core import SearchEngine
 from repro.experiments.pipeline import _TOOL_FP_EXCLUDE, tool_fingerprint
 from repro.experiments.runner import instrument_case
+from repro.fdlibm.s_atan import fdlibm_atan
 from repro.fdlibm.s_tanh import fdlibm_tanh
 from repro.fdlibm.suite import BENCHMARKS
+from repro.instrument.native import kernel as kernel_module
 from repro.instrument.native.cache import (
     NativeUnavailable,
     _reset_background_for_tests,
@@ -569,6 +575,181 @@ class TestBackgroundCompile:
             compile_kernel_background("", broken)
         assert compile_kernel_background("", healthy) == tmp_path / f"{healthy}.so"
         _reset_background_for_tests()
+
+
+def _bails(kernel, row) -> bool:
+    """Does ``sp_entry`` bail on ``row`` (called on fresh buffers)?"""
+    buffers = [array_type() for array_type in kernel.loaded.sp_entry.argtypes]
+    buffers[0][:] = row
+    return bool(kernel.loaded.sp_entry(*buffers))
+
+
+@requires_cc
+class TestWarmLoad:
+    """A kernel already in the disk cache loads by digest: one ``dlopen``,
+    its shape read from ``sp_meta``, no emission, no specialization."""
+
+    @pytest.fixture
+    def warm_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        clear_native_cache()
+        yield tmp_path
+        clear_native_cache()
+
+    @pytest.mark.parametrize("target", [sp.paper_foo, fdlibm_tanh],
+                             ids=lambda f: f.__name__)
+    def test_warm_load_never_emits(self, warm_cache, monkeypatch, target):
+        program = instrument(target)
+        variant = program.specialize(0)
+        ir = emit_program_ir(
+            program.units, program.name, program.arity, program.n_conditionals,
+            variant.namespace, variant.saturated_mask, variant.epsilon,
+        )
+        program.native_kernel(0)  # fills the disk cache
+        clear_native_cache()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a warm load must not emit")
+
+        monkeypatch.setattr(kernel_module, "emit_program_ir", refuse)
+        monkeypatch.setattr(kernel_module, "render_c", refuse)
+        warm = instrument(target)
+        kernel = warm.native_kernel(0)
+        loaded = kernel.loaded
+        assert (loaded.arity, loaded.n_words, loaded.bail_sites, loaded.freeze_sites) == (
+            len(ir.entry.params), ir.n_words, ir.bail_sites, ir.freeze_sites
+        )
+        assert warm.specialization_builds == 0
+        rng = np.random.default_rng(59)
+        _assert_native_parity(warm, 0, _adversarial_rows(rng, target, warm.arity, n_random=6))
+
+    def test_fallback_variant_is_built_on_the_first_bail(self, warm_cache):
+        instrument(fdlibm_tanh).native_kernel(0)  # fills the disk cache
+        clear_native_cache()
+        program = instrument(fdlibm_tanh)
+        kernel = program.native_kernel(0)
+        native_rows = [[0.0], [1e-300], [30.0], [float("nan")], [float("inf")]]
+        bailing_rows = [[0.3], [2.0], [-5.0]]
+        assert not any(_bails(kernel, row) for row in native_rows)
+        assert all(_bails(kernel, row) for row in bailing_rows)
+        assert program.specialization_builds == 0
+        for row in native_rows * 3:
+            kernel.scalar(row)
+        assert program.specialization_builds == 0
+        for row in bailing_rows:
+            r, covered = kernel.scalar(row)
+            assert program.specialization_builds == 1
+            _, r_sp, cov_sp = program.run_specialized(row, 0)
+            assert (_bits(r), covered) == (_bits(r_sp), cov_sp)
+        kernel(np.ascontiguousarray(bailing_rows + native_rows, dtype=np.float64))
+        assert program.specialization_builds == 1
+
+    def test_scalar_buffers_are_per_thread(self):
+        """Threads call one kernel's ``scalar`` at once (``sp_entry``
+        releases the GIL) on disjoint rows: every result matches the serial
+        one bit for bit."""
+        program = instrument(sp.nested_branches)
+        kernel = program.native_kernel(0)
+        assert kernel.loaded.bail_sites == 0  # every row stays native
+        rng = np.random.default_rng(61)
+        rows = [rng.normal(scale=5.0, size=program.arity).tolist() for _ in range(64)]
+        serial = [(_bits(r), covered) for r, covered in map(kernel.scalar, rows)]
+        n_threads = 4  # more threads than cores
+        results: list[list] = [[] for _ in range(n_threads)]
+        barrier = threading.Barrier(n_threads)
+
+        def work(which):
+            barrier.wait()
+            for _ in range(100):
+                for index in range(which, len(rows), n_threads):
+                    r, covered = kernel.scalar(rows[index])
+                    results[which].append((index, _bits(r), covered))
+
+        threads = [threading.Thread(target=work, args=(which,)) for which in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for which in range(n_threads):
+            assert len(results[which]) == 100 * len(range(which, len(rows), n_threads))
+            for index, r_bits, covered in results[which]:
+                assert (r_bits, covered) == serial[index], (which, rows[index])
+
+
+@requires_cc
+class TestCorruptCachedKernel:
+    """A cached ``.so`` that does not load is removed and rebuilt once in
+    the foreground; a rebuild that does not load either degrades the tier."""
+
+    @pytest.fixture(params=["truncated", "not-elf", "no-sp_meta"])
+    def broken(self, request, tmp_path, monkeypatch):
+        """``<digest>.so`` of ``fdlibm_atan`` at mask 0 in a fresh cache,
+        broken one of three ways and never loaded by this process: cut to a
+        third (``dlopen`` would map past its end), not a shared object at
+        all, or a shared object without ``sp_meta``."""
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        clear_native_cache()
+        program = instrument(fdlibm_atan)
+        digest = kernel_digest(program.units, 0, DEFAULT_EPSILON)
+        if request.param == "no-sp_meta":
+            so_path = compile_kernel("int sp_entry(void) { return 1; }\n", digest)
+        else:
+            variant = program.specialize(0)
+            ir = emit_program_ir(
+                program.units, program.name, program.arity, program.n_conditionals,
+                variant.namespace, variant.saturated_mask, variant.epsilon,
+            )
+            so_path = compile_kernel(render_c(ir), digest)
+            data = so_path.read_bytes()
+            broken = data[: len(data) // 3] if request.param == "truncated" else b"\0" * 256
+            # Replace rather than truncate in place: a truncated file that
+            # is mapped into this process would SIGBUS it.
+            partial = tmp_path / "partial.tmp"
+            partial.write_bytes(broken)
+            os.replace(partial, so_path)
+        yield so_path
+        clear_native_cache()
+
+    def test_broken_so_is_rebuilt_not_raised(self, broken):
+        program = instrument(fdlibm_atan)
+        native = RepresentingFunction(
+            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_NATIVE
+        )
+        specialized = RepresentingFunction(
+            program, SaturationTracker(program),
+            profile=ExecutionProfile.PENALTY_SPECIALIZED,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = native([0.5])
+        assert native.native_respecializations == 1  # rebuilt, not pending
+        assert native._native_kernel.loaded.so_path == broken
+        assert _bits(value) == _bits(specialized([0.5]))
+        rng = np.random.default_rng(67)
+        _assert_native_parity(program, 0, _adversarial_rows(rng, fdlibm_atan, 1, n_random=4))
+
+    def test_unloadable_rebuild_degrades_with_one_warning(self, broken, monkeypatch):
+        def corrupt_compile(c_source, digest):
+            broken.write_bytes(b"not a shared object")
+            return broken
+
+        monkeypatch.setattr(kernel_module, "compile_kernel", corrupt_compile)
+        program = instrument(fdlibm_atan)
+        with pytest.raises(NativeUnavailable, match="does not load"):
+            build_native_kernel(program, 0)
+        native = RepresentingFunction(
+            program, SaturationTracker(program), profile=ExecutionProfile.PENALTY_NATIVE
+        )
+        with pytest.warns(RuntimeWarning, match="native tier permanently unavailable"):
+            value = native([0.5])
+        _, r_sp, _ = program.run_specialized([0.5], 0)
+        assert _bits(value) == _bits(r_sp)
 
 
 class TestDiskCachePrune:
