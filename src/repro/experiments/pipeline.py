@@ -406,30 +406,25 @@ def execute_case(
     store: Optional[RunStore] = None,
     resume: bool = True,
     execute: bool = True,
-    service: Optional[CoverageService] = None,
 ) -> CaseOutcome:
     """Run (or resolve from the store) every job of one benchmark case.
 
     ``item`` is ``(case, [(tool_name, factory, measure_lines), ...])`` with
-    CoverMe (if present) first.  Jobs go through a
-    :class:`~repro.service.CoverageService` (an inline one over ``store``
-    unless ``service`` is passed): completed jobs load from the result
-    cache, everything else executes and is checkpointed via
-    :meth:`RunStore.put` the moment it finishes.  With ``execute=False``
+    CoverMe (if present) first.  Jobs go through an inline
+    :class:`~repro.service.CoverageService` over ``store``: completed jobs
+    load from the result cache, everything else executes and is
+    checkpointed via :meth:`RunStore.put` the moment it finishes.  With ``execute=False``
     nothing runs; absent jobs are reported in ``missing_jobs`` (the
     ``repro render`` path).
     """
     case, tool_items = item
     if not execute:
         return _lookup_case(case, tool_items, profile, store, resume)
-    owns = service is None
-    if owns:
-        service = CoverageService(store=store, worker_mode="inline", resume=resume)
+    service = CoverageService(store=store, worker_mode="inline", resume=resume)
     try:
         return _execute_cases([case], {case.key: tool_items}, profile, service, resume)[0]
     finally:
-        if owns:
-            service.close(close_store=False)
+        service.close(close_store=False)
 
 
 def execute_plan(
@@ -441,15 +436,13 @@ def execute_plan(
     n_workers: int = 1,
     worker_mode: str = "thread",
     n_shards: Optional[int] = None,
-    service: Optional[CoverageService] = None,
 ) -> tuple[dict[str, ComparisonRow], PipelineStats, list[str]]:
     """Execute a job plan through the coverage service.
 
     Returns ``(rows_by_case_key, stats, missing_jobs)``.  Jobs are
-    submitted to one shared :class:`~repro.service.CoverageService`
-    (constructed over ``store`` unless ``service`` is passed) in the
-    two-wave order of :func:`_execute_cases`; each job is checkpointed to
-    the store individually, so killing the run loses at most the jobs in
+    submitted to one shared :class:`~repro.service.CoverageService` over
+    ``store`` in the two-wave order of :func:`_execute_cases`; each job is
+    checkpointed to the store individually, so killing the run loses at most the jobs in
     flight.  All dispatch modes -- including ``process`` -- work with
     persistent stores: workers return payloads and the coordinating
     process writes them.  Seeded results are bit-identical for every
@@ -470,20 +463,17 @@ def execute_plan(
             for case in plan.cases
         ]
     else:
-        owns = service is None
-        if owns:
-            service = CoverageService(
-                store=store,
-                worker_mode=service_worker_mode(worker_mode, n_workers),
-                n_workers=n_workers,
-                n_shards=n_shards,
-                resume=resume,
-            )
+        service = CoverageService(
+            store=store,
+            worker_mode=service_worker_mode(worker_mode, n_workers),
+            n_workers=n_workers,
+            n_shards=n_shards,
+            resume=resume,
+        )
         try:
             outcomes = _execute_cases(plan.cases, items_by_case, plan.profile, service, resume)
         finally:
-            if owns:
-                service.close(close_store=False)
+            service.close(close_store=False)
     stats = PipelineStats()
     missing: list[str] = []
     rows: dict[str, ComparisonRow] = {}
@@ -520,7 +510,6 @@ def run_specs(
     n_workers: int = 1,
     worker_mode: str = "thread",
     n_shards: Optional[int] = None,
-    service=None,
 ) -> RunReport:
     """Plan, execute and render a set of experiment specs as one batch.
 
@@ -529,11 +518,6 @@ def run_specs(
     path) nothing is executed: suite rows are resolved from the store only,
     absent jobs are listed in ``missing_jobs`` instead of being run, and
     script specs (which have no stored records) are reported as missing.
-    ``service`` overrides the locally-constructed
-    :class:`~repro.service.CoverageService` -- this is how ``repro run
-    --coordinator URL`` swaps in a
-    :class:`~repro.distributed.remote.RemoteServiceAdapter` and executes
-    the identical two-wave plan against a daemon.
     """
     report = RunReport(profile=profile)
     suite_specs = [spec for spec in specs if spec.is_suite]
@@ -542,7 +526,6 @@ def run_specs(
         rows_by_case, stats, missing = execute_plan(
             plan, store=store, resume=resume, execute=True,
             n_workers=n_workers, worker_mode=worker_mode, n_shards=n_shards,
-            service=service,
         )
         report.stats = stats
         report.missing_jobs = missing

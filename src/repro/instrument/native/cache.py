@@ -221,7 +221,9 @@ def compile_kernel(c_source: str, digest: str) -> Path:
     if proc.returncode != 0:
         tail = "\n".join(proc.stderr.strip().splitlines()[-8:])
         _cleanup(tmp_c, tmp_so)
-        raise NativeUnavailable(f"compilation failed:\n{tail}")
+        raise NativeUnavailable(
+            f"compilation failed (exit status {proc.returncode}):\n{tail}"
+        )
     os.replace(tmp_c, c_path)
     os.replace(tmp_so, so_path)
     _prune_disk_cache(directory)

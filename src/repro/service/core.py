@@ -216,15 +216,6 @@ class CoverageService:
             Results are bit-identical for every value (property-tested).
         queue_limit: Bound on pending admissions; ``None`` is unbounded.
         resume: Default result-cache policy for submissions.
-        distributed: An optional
-            :class:`~repro.distributed.coordinator.LeaseCoordinator` (or
-            anything with its ``pool_factory``/``stats`` surface).  When
-            set, CoverMe jobs run on a distributed :class:`LeasePool` --
-            each engine batch becomes a lease that registered shard
-            workers can execute -- instead of a local start pool.
-            Incompatible with ``worker_mode="process"``: leases are
-            issued by the coordinator living in *this* process, and a
-            pool factory cannot cross the pickle boundary.
     """
 
     def __init__(
@@ -235,16 +226,10 @@ class CoverageService:
         n_shards: Optional[int] = None,
         queue_limit: Optional[int] = 256,
         resume: bool = True,
-        distributed=None,
     ):
         if worker_mode not in WORKER_MODES:
             known = ", ".join(WORKER_MODES)
             raise ValueError(f"unknown service worker mode {worker_mode!r}; known: {known}")
-        if distributed is not None and worker_mode == "process":
-            raise ValueError(
-                "distributed coordination requires inline or thread worker mode "
-                "(the lease coordinator cannot cross the process-pool boundary)"
-            )
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if isinstance(store, (str, Path)):
@@ -258,7 +243,6 @@ class CoverageService:
             self._owns_store = False
         self.mode = worker_mode
         self.resume = resume
-        self.distributed = distributed
         self._unjoined: list[str] = []
         self.n_workers = 1 if worker_mode == "inline" else n_workers
         self.n_shards = n_shards if n_shards is not None else self.n_workers
@@ -390,9 +374,6 @@ class CoverageService:
             if self.mode == "process":
                 payload, warning_list = self._execute_remote(job)
             else:
-                pool_factory = None
-                if self.distributed is not None and job.request.tool == "CoverMe":
-                    pool_factory = self.distributed.pool_factory(case_key=job.request.case.key)
                 program = None
                 if self._worker_programs is not None:
                     programs = self._worker_programs[worker_id]
@@ -401,8 +382,7 @@ class CoverageService:
                     if program is None:
                         program = programs[case] = instrument_for_lookup(case).clone()
                 executed = execute_job(
-                    job.request, job.budget, progress=job.add_progress,
-                    pool_factory=pool_factory, program=program,
+                    job.request, job.budget, progress=job.add_progress, program=program
                 )
                 payload, warning_list = executed.payload, executed.warnings
             job.warnings.extend(warning_list)
@@ -477,8 +457,6 @@ class CoverageService:
                 "records": len(self.store),
             },
         }
-        if self.distributed is not None:
-            body["distributed"] = self.distributed.stats()
         return body
 
     # -- lifecycle ---------------------------------------------------------

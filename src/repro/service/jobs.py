@@ -90,8 +90,7 @@ _PROFILE_FP_EXCLUDE = frozenset(
 #: ``eval_profile`` -- like ``n_workers`` -- cannot change stored results;
 #: ``progress`` is a pure observer the service attaches to stream events).
 _TOOL_FP_EXCLUDE = frozenset(
-    {"last_evaluations", "n_workers", "worker_mode", "eval_profile", "progress",
-     "pool_factory"}
+    {"last_evaluations", "n_workers", "worker_mode", "eval_profile", "progress"}
 )
 
 
@@ -276,7 +275,6 @@ def execute_job(
     request: JobRequest,
     budget: Budget,
     progress: Optional[Callable[[dict], None]] = None,
-    pool_factory: Optional[Callable] = None,
     program=None,
 ) -> ExecutedJob:
     """Execute one job and return its storable payload.
@@ -293,23 +291,14 @@ def execute_job(
     payload itself is never affected.
 
     ``progress`` (when given and the tool is CoverMe) is attached as the
-    engine's result-neutral batch observer; ``pool_factory`` (same
-    condition) is attached as the engine's start-pool seam -- this is how
-    a coordinator daemon swaps in its distributed
-    :class:`~repro.distributed.coordinator.LeasePool`.  Both are excluded
-    from fingerprints: they are result-neutral by the engine's contract.
+    engine's result-neutral batch observer; it is excluded from
+    fingerprints for that reason.
     """
     if program is None:
         program = instrument_for_lookup(request.case)
     tool = request.resolve_factory()(request.profile)
-    if isinstance(getattr(tool, "config", None), CoverMeConfig):
-        attach = {}
-        if progress is not None:
-            attach["progress"] = progress
-        if pool_factory is not None:
-            attach["pool_factory"] = pool_factory
-        if attach:
-            tool.config = dataclasses.replace(tool.config, **attach)
+    if progress is not None and isinstance(getattr(tool, "config", None), CoverMeConfig):
+        tool.config = dataclasses.replace(tool.config, progress=progress)
     captured: list[str] = []
     with _warnings.catch_warnings(record=True) as seen:
         _warnings.simplefilter("always")

@@ -13,9 +13,10 @@ kernel swaps in once ``cc`` lands), the ``NativeUnavailable`` degradation
 (no compiler: one per-instance warning, identical results through the
 specialized tier), the warm load by digest (no emission, the bail
 fallback variant built on the first bail, per-thread scalar buffers), the
-rebuild of a cached ``.so`` that does not load, the ``repro native-cache``
-CLI and the engine-level identity of ``penalty-native`` vs
-``penalty-specialized`` runs across worker pools.
+rebuild of a cached ``.so`` that does not load, a compiler that crashes or
+hangs mid-build, the ``repro native-cache`` CLI and the engine-level
+identity of ``penalty-native`` vs ``penalty-specialized`` runs across
+worker pools.
 
 Every test that needs a C compiler self-skips when none is present, so the
 suite passes on compiler-less machines with the degradation tests carrying
@@ -770,6 +771,63 @@ class TestDiskCachePrune:
         assert _prune_disk_cache(tmp_path) == 1
         monkeypatch.undo()
         assert sorted(p.name for p in tmp_path.iterdir()) == [".inflight.abc123.so", "new.so"]
+
+
+_FAKE_CC = """#!/bin/sh
+if [ "$1" = "--version" ]; then echo "fakecc 1.0"; exit 0; fi
+while [ $# -gt 0 ]; do
+    if [ "$1" = "-o" ]; then out="$2"; fi
+    shift
+done
+printf 'partial' > "$out"
+ulimit -c 0
+kill -SEGV $$
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX shell")
+class TestCompilerFaults:
+    """A compiler that crashes or hangs mid-build publishes no kernel and
+    leaves no temp file behind in the cache directory."""
+
+    DIGEST = "f" * 64
+
+    @pytest.fixture
+    def fake_cc(self, tmp_path, monkeypatch):
+        """``$REPRO_CC`` is a script that answers ``--version``, writes a
+        partial object to its ``-o`` path, then kills itself with SIGSEGV."""
+        script = tmp_path / "fake-cc"
+        script.write_text(_FAKE_CC)
+        script.chmod(0o755)
+        cache_dir = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CC", str(script))
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache_dir))
+        _reset_cc_probe_for_tests()
+        try:
+            assert find_cc()[0] == str(script)
+            yield cache_dir
+        finally:
+            _reset_cc_probe_for_tests()
+
+    def test_crashing_cc_raises_and_cleans_up(self, fake_cc):
+        with pytest.raises(NativeUnavailable, match=r"exit status -11"):
+            compile_kernel("int sp_entry(void) { return 0; }\n", self.DIGEST)
+        assert sorted(path.name for path in fake_cc.iterdir()) == []
+
+    def test_hanging_cc_raises_and_cleans_up(self, fake_cc, monkeypatch):
+        import subprocess
+
+        from repro.instrument.native import cache as cache_module
+
+        def hang(cmd, *args, **kwargs):
+            with open(cmd[cmd.index("-o") + 1], "w") as partial:
+                partial.write("partial")
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(cache_module.subprocess, "run", hang)
+        with pytest.raises(NativeUnavailable, match="timed out"):
+            compile_kernel("int sp_entry(void) { return 0; }\n", self.DIGEST)
+        assert sorted(path.name for path in fake_cc.iterdir()) == []
 
 
 class TestCcProbeCache:

@@ -9,6 +9,7 @@ smoke job exercises against a separately-spawned ``repro serve`` process.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -131,9 +132,10 @@ class TestEndpoints:
 class TestRejections:
     def test_unknown_route_is_404(self, daemon):
         client, _ = daemon
-        with pytest.raises(ClientError) as excinfo:
-            client._request("GET", "/nope")
-        assert excinfo.value.status == 404
+        for method, path in (("GET", "/nope"), ("POST", "/distributed/register")):
+            with pytest.raises(ClientError) as excinfo:
+                client._request(method, path, {} if method == "POST" else None)
+            assert excinfo.value.status == 404, (method, path)
 
     def test_unknown_job_is_404(self, daemon):
         client, _ = daemon
@@ -178,6 +180,32 @@ class TestRejections:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "raw, status, error",
+        [
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413,
+             "request body too large"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400, "bad Content-Length"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400, "bad Content-Length"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", 400, "malformed request"),
+            (b"GARBAGE\r\n\r\n", 400, "malformed request line"),
+        ],
+        ids=["oversized", "non-numeric-length", "negative-length", "short-body", "garbage-line"],
+    )
+    def test_malformed_raw_requests(self, daemon, raw, status, error):
+        client, service = daemon
+        host, _, port = client.base_url[len("http://"):].partition(":")
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)  # a short body ends here, not at a timeout
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert json.loads(body) == {"error": error}
+        assert service.stats()["counters"]["submitted"] == 0
 
     def test_full_queue_is_429_then_drains(self, tmp_path, monkeypatch):
         """Backpressure over the wire: a saturated admission queue maps to
@@ -253,8 +281,7 @@ class TestShutdown:
 
 
 class TestAuthAndRateLimit:
-    """Per-client bearer auth + sliding-window rate limit (satellite for the
-    distributed coordinator: these gate the worker-registration endpoints)."""
+    """Per-client bearer auth + sliding-window rate limit."""
 
     TOKEN = "hunter2"
 
@@ -296,11 +323,13 @@ class TestAuthAndRateLimit:
         assert stats["mode"] == "thread"
 
     def test_distributed_register_requires_token(self, secured):
-        # The worker-registration route sits behind the same gate.
-        address, _ = secured
+        # POST routes sit behind the same gate: a tokenless submission is
+        # refused before it reaches the service.
+        address, service = secured
         with pytest.raises(ClientError) as err:
-            ServiceClient(address).register_worker("w1")
+            ServiceClient(address).submit(CASE_KEY, profile="det-http")
         assert err.value.status == 401
+        assert service.stats()["counters"]["submitted"] == 0
 
     def test_sixth_rapid_request_is_429_with_retry_after(self, secured):
         address, _ = secured
@@ -342,3 +371,22 @@ class TestRateLimiterUnit:
         assert retry == pytest.approx(0.8)
         assert limiter.check("other", now=0.2) is None  # independent key
         assert limiter.check("k", now=1.05) is None  # first slot expired
+
+
+@pytest.mark.parametrize("spec", ["0/1", "5/0", "5/nan", "abc"])
+def test_bad_rate_limit_exits_before_binding(spec, monkeypatch):
+    import repro.service.http as http_module
+    from repro.cli import main
+    from repro.service.http import RateLimiter
+
+    def no_serve(*args, **kwargs):
+        raise AssertionError("a socket was bound for a bad --rate-limit")
+
+    monkeypatch.setattr(http_module, "serve", no_serve)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--ephemeral", "--port", "0", "--rate-limit", spec])
+    assert str(excinfo.value).startswith(f"error: bad --rate-limit {spec!r}")
+    count, _, window = spec.partition("/")
+    if count.isdigit():
+        with pytest.raises(ValueError):
+            RateLimiter(int(count), float(window))
